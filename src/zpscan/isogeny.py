@@ -33,6 +33,7 @@ from .errors import DomainError, StructureViolation
 from .periods import (
     FullPeriodMatrix,
     Lattice,
+    _quadratic_rows,
     full_period_matrix,
     inv2,
     reduce_tau,
@@ -224,30 +225,17 @@ def recognize_quadratic(z, bound: int, ctx: PrecisionContext = None):
 
     Unlike CM detection this allows A = 0 (degree-1 relations, i.e. rational
     or integer z) and any sign of the discriminant.  Returns (A, B, C) or None.
+
+    The scan is that of periods._quadratic_rows: a float screen drops the
+    pairs that cannot pass, the rest are confirmed in mpmath at working
+    precision.  The result is the least (A, |B|, |C|, residual); since A
+    leads that key, the first row A with an accepted relation holds it and
+    the scan stops there, with the answer of the full O(bound^2) scan.
     """
     ctx = ctx or PrecisionContext()
     z = mp.mpc(z)
-    best = None
     with ctx.workprec():
-        thresh = ctx.sqrt_tol
-        z2 = z * z
-        for A in range(0, bound + 1):
-            bmin = 1 if A == 0 else -bound
-            for B in range(bmin, bound + 1):
-                w = A * z2 + B * z
-                C = int(mp.nint(-mp.re(w)))
-                if abs(C) > bound:
-                    continue
-                if A == 0 and B == 0:
-                    continue
-                g = gcd(gcd(A, abs(B)), abs(C))
-                if g > 1:
-                    continue
-                residual = abs(w + C)
-                scale = max(A, abs(B), abs(C))
-                if residual >= thresh * scale:
-                    continue
-                key = (A, abs(B), abs(C), residual)
-                if best is None or key < best[0]:
-                    best = (key, (A, B, C))
-    return best[1] if best else None
+        for hits in _quadratic_rows(z, z * z, bound, ctx.sqrt_tol, 0):
+            A, B, C, _, _ = min(hits, key=lambda h: (abs(h[1]), abs(h[2]), h[4]))
+            return (A, B, C)
+    return None

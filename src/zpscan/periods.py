@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 import mpmath as mp
 
@@ -208,12 +208,6 @@ def reduce_tau(tau, ctx: PrecisionContext = None):
     raise DomainError("tau reduction did not terminate; input too close to the real axis")
 
 
-def apply_mobius(gamma, tau) -> mp.mpc:
-    a, b, c, d = gamma
-    tau = to_complex(tau)
-    return (a * tau + b) / (c * tau + d)
-
-
 def full_period_matrix(lat: Lattice, ctx: PrecisionContext = None) -> FullPeriodMatrix:
     """Periods and quasi-periods of a lattice, det = 2*pi*i up to the recorded residual."""
     ctx = ctx or PrecisionContext()
@@ -235,6 +229,68 @@ def full_period_matrix(lat: Lattice, ctx: PrecisionContext = None) -> FullPeriod
         return FullPeriodMatrix(p=p, legendre_residual=+residual)
 
 
+#: bound on the error of A*z^2 + B*z in floats, per unit of A|z|^2 + |B||z|;
+#: the conversions of z and z^2 and the roundings after them stay below 8 ulp
+_FLOAT_REL_ERR = 1e-14
+#: absolute slack for underflow to subnormal floats
+_FLOAT_ABS_ERR = 1e-300
+
+
+def _quadratic_rows(z, z2, bound: int, thresh, a_min: int):
+    """Accepted integer relations A*z^2 + B*z + C ~ 0, one list per row A.
+
+    The scan is A = a_min..bound, B = -bound..bound (B >= 1 when A = 0) and
+    C = nint(-Re w) for w = A*z^2 + B*z; (A, B, C) is accepted when |C| <=
+    bound, gcd(A, B, C) = 1 and residual = |w + C| < thresh * max(A, |B|, |C|).
+    Yields, for each row A that accepts something, the list of its
+    (A, B, C, w, residual) in scan order, w and residual being the mpmath
+    values at the caller's working precision.
+
+    Most pairs are ruled out in complex floats first.  An accepted triple has
+    |Im w| and dist(Re w, Z) at most its residual, so below thresh * bound;
+    the float value of w is within err = 1e-14*(A|z|^2 + |B||z|) + 1e-300 of
+    the mpmath one.  So a pair whose float w misses thresh * bound + err on
+    either count is rejected by the mpmath test too, and while that margin
+    stays below 1/4 the float rounding of -Re w is the exact C of every pair
+    that passes, so |C| and primitivity are tested on it before any mpmath
+    work.  The pairs that pass go through the unchanged mpmath expressions,
+    so the output is that of the full scan.  If z, z^2 or the margin is not a
+    finite float, or the margin reaches 1/4, every pair takes the mpmath path.
+    """
+    zf, z2f = complex(z), complex(z2)
+    zr, zi = zf.real, zf.imag
+    ez, ez2 = _FLOAT_REL_ERR * abs(zf), _FLOAT_REL_ERR * abs(z2f)
+    limit = (float(thresh) * (1 + 1e-12) + _FLOAT_ABS_ERR) * bound + _FLOAT_ABS_ERR
+    worst = limit + bound * (ez + ez2)
+    screen = isfinite(worst) and worst < 0.25
+    for A in range(a_min, bound + 1):
+        bs = range(1 if A == 0 else -bound, bound + 1)
+        if screen:
+            ar, ai = A * z2f.real, A * z2f.imag
+            ea = limit + A * ez2
+            kept = []
+            for B in bs:
+                margin = ea + abs(B) * ez
+                if abs(ai + B * zi) > margin:
+                    continue
+                wr = ar + B * zr
+                c = round(-wr)
+                if abs(wr + c) <= margin and abs(c) <= bound and gcd(gcd(A, B), c) == 1:
+                    kept.append(B)
+            bs = kept
+        hits = []
+        for B in bs:
+            w = A * z2 + B * z
+            C = int(mp.nint(-mp.re(w)))
+            if abs(C) > bound or gcd(gcd(A, abs(B)), abs(C)) != 1:
+                continue
+            residual = abs(w + C)
+            if residual < thresh * max(A, abs(B), abs(C)):
+                hits.append((A, B, C, w, residual))
+        if hits:
+            yield hits
+
+
 def detect_cm(tau, bound: int, ctx: PrecisionContext = None) -> CmCertificate | None:
     """Search for an integer quadratic relation A*tau^2 + B*tau + C = 0.
 
@@ -242,6 +298,12 @@ def detect_cm(tau, bound: int, ctx: PrecisionContext = None) -> CmCertificate | 
     and returns the smallest-|D| certificate whose residual is below
     sqrt(tol) * max(|A|, |B|, |C|), or None.  Numerical CM detection is a
     heuristic; both the coefficient bound and the threshold are surfaced.
+
+    The scan is that of _quadratic_rows: a float screen drops the pairs that
+    cannot pass, the rest are confirmed in mpmath at working precision.  On
+    the confirmed triples this function keeps its own tests (|Im w| within
+    sqrt(tol) * max(A, |B|, 1), D < 0) and its ordering key, so the
+    certificate, residual included, is that of the full O(bound^2) scan.
     """
     ctx = ctx or PrecisionContext()
     tau = to_complex(tau)
@@ -251,26 +313,13 @@ def detect_cm(tau, bound: int, ctx: PrecisionContext = None) -> CmCertificate | 
         raise DomainError("coefficient bound must be positive")
     best = None
     with ctx.workprec():
-        tau2 = tau * tau
         thresh = ctx.sqrt_tol * CM_RESIDUAL_FACTOR
-        for A in range(1, bound + 1):
-            At2 = A * tau2
-            for B in range(-bound, bound + 1):
-                w = At2 + B * tau
+        for hits in _quadratic_rows(tau, tau * tau, bound, thresh, 1):
+            for A, B, C, w, residual in hits:
                 if abs(mp.im(w)) > thresh * max(A, abs(B), 1):
-                    continue
-                C = int(mp.nint(-mp.re(w)))
-                if abs(C) > bound:
-                    continue
-                g = gcd(gcd(A, abs(B)), abs(C))
-                if g != 1:
                     continue
                 D = B * B - 4 * A * C
                 if D >= 0:
-                    continue
-                residual = abs(w + C)
-                scale = max(A, abs(B), abs(C))
-                if residual >= thresh * scale:
                     continue
                 key = (abs(D), A, abs(B), B, residual)
                 if best is None or key < best[0]:

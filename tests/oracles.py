@@ -205,3 +205,65 @@ def log_delta_derivative(tau, ctx: PrecisionContext, h_exp: int = -80) -> mp.mpc
 
         dlog = (log_delta(tau + h) - log_delta(tau - h)) / (2 * h)
         return dlog / (2j * mp.pi)
+
+
+def detect_cm_scan(tau, bound: int, ctx: PrecisionContext):
+    """Full O(bound^2) mpmath scan behind ``periods.detect_cm``, kept as its reference."""
+    from zpscan.analytic import to_complex
+    from zpscan.errors import DomainError
+    from zpscan.periods import CM_RESIDUAL_FACTOR, CmCertificate
+
+    tau = to_complex(tau)
+    if not mp.im(tau) > 0:
+        raise DomainError("detect_cm requires Im(tau) > 0")
+    if bound < 1:
+        raise DomainError("coefficient bound must be positive")
+    best = None
+    with ctx.workprec():
+        tau2 = tau * tau
+        thresh = ctx.sqrt_tol * CM_RESIDUAL_FACTOR
+        for A in range(1, bound + 1):
+            At2 = A * tau2
+            for B in range(-bound, bound + 1):
+                w = At2 + B * tau
+                if abs(mp.im(w)) > thresh * max(A, abs(B), 1):
+                    continue
+                C = int(mp.nint(-mp.re(w)))
+                if abs(C) > bound:
+                    continue
+                if int_gcd(int_gcd(A, abs(B)), abs(C)) != 1:
+                    continue
+                D = B * B - 4 * A * C
+                if D >= 0:
+                    continue
+                residual = abs(w + C)
+                if residual >= thresh * max(A, abs(B), abs(C)):
+                    continue
+                key = (abs(D), A, abs(B), B, residual)
+                if best is None or key < best[0]:
+                    best = (key, CmCertificate(disc=D, coeffs=(A, B, C), residual=+residual))
+    return best[1] if best else None
+
+
+def recognize_quadratic_scan(z, bound: int, ctx: PrecisionContext):
+    """Full O(bound^2) mpmath scan behind ``isogeny.recognize_quadratic``, kept as its reference."""
+    z = mp.mpc(z)
+    best = None
+    with ctx.workprec():
+        thresh = ctx.sqrt_tol
+        z2 = z * z
+        for A in range(0, bound + 1):
+            for B in range(1 if A == 0 else -bound, bound + 1):
+                w = A * z2 + B * z
+                C = int(mp.nint(-mp.re(w)))
+                if abs(C) > bound:
+                    continue
+                if int_gcd(int_gcd(A, abs(B)), abs(C)) > 1:
+                    continue
+                residual = abs(w + C)
+                if residual >= thresh * max(A, abs(B), abs(C)):
+                    continue
+                key = (A, abs(B), abs(C), residual)
+                if best is None or key < best[0]:
+                    best = (key, (A, B, C))
+    return best[1] if best else None
