@@ -103,17 +103,18 @@ def cmd_periods(args) -> int:
         sys.stderr.write("error: periods needs --tau or --lattice\n")
         return EXIT_USAGE
     if args.lattice:
-        parts = [mp.mpf(x) for x in args.lattice.split(",")]
+        parts = args.lattice.split(",")
         if len(parts) != 4:
             sys.stderr.write("error: --lattice expects W1RE,W1IM,W2RE,W2IM\n")
             return EXIT_USAGE
-        lat = Lattice(mp.mpc(parts[0], parts[1]), mp.mpc(parts[2], parts[3]))
+        lat = Lattice(parse_complex(parts[:2]), parse_complex(parts[2:]))
     else:
-        tau = parse_complex(args.tau)
-        lat = Lattice.from_tau(tau)
+        lat = Lattice.from_tau(parse_complex(args.tau))
     P = full_period_matrix(lat, ctx)
-    tau_red, gamma = reduce_tau(lat.tau, ctx)
-    cert = detect_cm(lat.tau, args.cm_bound, ctx)
+    with ctx.workprec():
+        tau = lat.tau
+    tau_red, gamma = reduce_tau(tau, ctx)
+    cert = detect_cm(tau, args.cm_bound, ctx)
     payload = {
         "meta": meta_block(ctx, args.seed),
         "omega": [fmt_complex(P.p[0, 0]), fmt_complex(P.p[0, 1])],
@@ -147,6 +148,7 @@ def _isogeny_task(packed):
     norm = max(abs(P2.p[i, j]) for i in range(2) for j in range(2))
     probe = {}
     with ctx.workprec():
+        target_tau = target.tau
         for name, val in zip("abc", w.de_rham):
             rel = recognize_quadratic(val, 20, ctx)
             probe[name] = list(rel) if rel else None
@@ -157,7 +159,7 @@ def _isogeny_task(packed):
         "de_rham": [fmt_complex(v) for v in w.de_rham],
         "residual": fmt_real(w.residual),
         "relative_residual": fmt_real(w.residual / norm),
-        "target_tau": fmt_complex(target.tau),
+        "target_tau": fmt_complex(target_tau),
         "algebraicity_probe": probe,
     }
 

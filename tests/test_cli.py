@@ -1,6 +1,11 @@
 import json
 
+import mpmath as mp
+import pytest
+
+from zpscan import cli
 from zpscan.cli import main
+from zpscan.periods import reduce_tau
 
 from conftest import validate_against
 
@@ -28,6 +33,29 @@ def test_periods_lattice_input(capsys):
     code, doc = run_json(capsys, "periods", "--lattice", "1,0,0,1")
     assert code == 0
     assert doc["omega"][0] == ["1.0", "0.0"]
+
+
+RHO_50 = "-0.5,0.86602540378443864676372317075293618347140262690519"
+
+
+@pytest.mark.parametrize("argv", [["--tau=" + RHO_50], ["--lattice", "1,0," + RHO_50]])
+def test_periods_at_rho_keeps_input_precision(capsys, monkeypatch, argv):
+    # tau, read at the ambient 53 bits, once missed the D = -3 certificate
+    reduced = []
+
+    def recording_reduce_tau(tau, ctx):
+        out = reduce_tau(tau, ctx)
+        reduced.append(out[0])
+        return out
+
+    monkeypatch.setattr(cli, "reduce_tau", recording_reduce_tau)
+    code, doc = run_json(capsys, "periods", *argv)
+    assert code == 0
+    assert doc["cm"]["disc"] == -3 and doc["cm"]["coeffs"] == [1, 1, 1]
+    assert doc["tau_reduced"] == ["-0.5", "0.86602540378443864676372317075294"]
+    with mp.workprec(512):
+        rho = mp.mpc(-0.5, mp.sqrt(3) / 2)
+        assert abs(reduced[0] - rho) < mp.mpf("1e-45")
 
 
 def test_periods_usage_error(capsys):
