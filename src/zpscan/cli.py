@@ -12,13 +12,12 @@ import csv
 import io
 import json
 import multiprocessing
-import os
 import sys
 
 import mpmath as mp
 
 from . import polyrel
-from .analytic import DEFAULT_BITS, PrecisionContext
+from .analytic import PrecisionContext
 from .errors import Inconclusive, ZpError
 from .isogeny import CyclicSublattice, cyclic_sublattices, make_witness, recognize_quadratic
 from .modular import MAX_EXACT_LEVEL, phi_eval_numeric, phi_recover_exact
@@ -63,10 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _context(args) -> PrecisionContext:
-    bits = args.precision
-    if bits is None:
-        bits = int(os.environ.get("ZP_PRECISION_BITS", DEFAULT_BITS))
-    return PrecisionContext(bits=bits)
+    if args.precision is None:
+        return PrecisionContext.from_env()
+    return PrecisionContext(bits=args.precision)
 
 
 def _emit(args, payload) -> None:
@@ -245,24 +243,29 @@ def _witness_payload(witness, ctx, attempts=5, seed=0):
         payload["polynomial"] = {"unavailable": str(exc)}
         return payload, witness.residual
     vanish = abs(polyrel.evaluate(R, witness.assignment, ctx))
-    smooth = _smooth_coords_of(witness)
-    try:
-        cert = polyrel.not_in_I0(R, IdealI0(smooth_coords=smooth), attempts, ctx, seed=seed)
-        nonmember = {
-            "witness_point": {f"{i},{j},{k}": fmt_value(v) for (i, j, k), v in sorted(cert.point.items())},
-            "value": fmt_value(cert.value),
-            "attempts_used": cert.attempts_used,
-        }
-    except Inconclusive:
-        nonmember = "inconclusive"
     payload["polynomial"] = {
         "degree": R.degree(),
         "homogeneous": R.is_homogeneous(),
         "terms": len(R.terms),
         "vanishing_residual": fmt_real(vanish),
-        "nonmembership": nonmember,
+        "nonmembership": _nonmembership(R, witness, attempts, ctx, seed),
     }
     return payload, max(witness.residual, vanish / max(1, R.coeff_norm()))
+
+
+def _nonmembership(R, witness, attempts, ctx, seed):
+    """The not-in-I0 certificate of R as JSON, or "inconclusive"."""
+    try:
+        cert = polyrel.not_in_I0(
+            R, IdealI0(smooth_coords=_smooth_coords_of(witness)), attempts, ctx, seed=seed
+        )
+    except Inconclusive:
+        return "inconclusive"
+    return {
+        "witness_point": {f"{i},{j},{k}": fmt_value(v) for (i, j, k), v in sorted(cert.point.items())},
+        "value": fmt_value(cert.value),
+        "attempts_used": cert.attempts_used,
+    }
 
 
 def _smooth_coords_of(witness) -> frozenset:
@@ -438,17 +441,7 @@ def cmd_check_relation(args) -> int:
     )
     R = build_polynomial(witness, ctx)
     vanish = abs(polyrel.evaluate(R, assignment, ctx))
-    try:
-        cert = polyrel.not_in_I0(
-            R, IdealI0(smooth_coords=_smooth_coords_of(witness)), args.attempts, ctx, seed=args.seed or 0
-        )
-        nonmember = {
-            "witness_point": {f"{i},{j},{k}": fmt_value(v) for (i, j, k), v in sorted(cert.point.items())},
-            "value": fmt_value(cert.value),
-            "attempts_used": cert.attempts_used,
-        }
-    except Inconclusive:
-        nonmember = "inconclusive"
+    nonmember = _nonmembership(R, witness, args.attempts, ctx, args.seed or 0)
     payload = {
         "meta": meta_block(ctx, args.seed),
         "degree": R.degree(),

@@ -49,9 +49,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_unit(self) -> bool:
-        return self.degree == 0
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
@@ -60,14 +57,6 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({self.coeffs})"
-
-    @classmethod
-    def const(cls, c: int) -> "IntPoly":
-        return cls([c])
-
-    @classmethod
-    def x_power(cls, k: int, c: int = 1) -> "IntPoly":
-        return cls([0] * k + [c])
 
     # -- ring ops ----------------------------------------------------------
 

@@ -58,10 +58,6 @@ class CyclicSublattice:
     def degree(self) -> int:
         return self.a * self.d
 
-    @property
-    def hnf(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (0, self.d))
-
 
 @dataclass(frozen=True)
 class IsogenyWitness:
@@ -226,11 +222,10 @@ def recognize_quadratic(z, bound: int, ctx: PrecisionContext = None):
     Unlike CM detection this allows A = 0 (degree-1 relations, i.e. rational
     or integer z) and any sign of the discriminant.  Returns (A, B, C) or None.
 
-    The scan is that of periods._quadratic_rows: a float screen drops the
-    pairs that cannot pass, the rest are confirmed in mpmath at working
-    precision.  The result is the least (A, |B|, |C|, residual); since A
-    leads that key, the first row A with an accepted relation holds it and
-    the scan stops there, with the answer of the full O(bound^2) scan.
+    The scan is periods._quadratic_rows: a float screen, then mpmath
+    confirmation at working precision.  The answer is the least (A, |B|, |C|,
+    residual); A leads that key, so the scan stops after the first row A that
+    accepts a relation, with the answer of the full O(bound^2) scan.
     """
     ctx = ctx or PrecisionContext()
     z = mp.mpc(z)

@@ -56,10 +56,6 @@ def inv2(m):
     return mp.matrix([[m[1, 1] / d, -m[0, 1] / d], [-m[1, 0] / d, m[0, 0] / d]])
 
 
-def mat2(a, b, c, d):
-    return mp.matrix([[to_complex(a), to_complex(b)], [to_complex(c), to_complex(d)]])
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Oriented rank-2 lattice Z*omega1 + Z*omega2, Im(omega2/omega1) > 0."""
@@ -229,38 +225,27 @@ def full_period_matrix(lat: Lattice, ctx: PrecisionContext = None) -> FullPeriod
         return FullPeriodMatrix(p=p, legendre_residual=+residual)
 
 
-#: bound on the error of A*z^2 + B*z in floats, per unit of A|z|^2 + |B||z|;
-#: the conversions of z and z^2 and the roundings after them stay below 8 ulp
-_FLOAT_REL_ERR = 1e-14
-#: absolute slack for underflow to subnormal floats
-_FLOAT_ABS_ERR = 1e-300
-
-
 def _quadratic_rows(z, z2, bound: int, thresh, a_min: int):
     """Accepted integer relations A*z^2 + B*z + C ~ 0, one list per row A.
 
-    The scan is A = a_min..bound, B = -bound..bound (B >= 1 when A = 0) and
-    C = nint(-Re w) for w = A*z^2 + B*z; (A, B, C) is accepted when |C| <=
-    bound, gcd(A, B, C) = 1 and residual = |w + C| < thresh * max(A, |B|, |C|).
-    Yields, for each row A that accepts something, the list of its
-    (A, B, C, w, residual) in scan order, w and residual being the mpmath
-    values at the caller's working precision.
+    Scans A = a_min..bound, B = -bound..bound (B >= 1 when A = 0), C = nint(-Re w)
+    with w = A*z^2 + B*z, and accepts primitive (A, B, C) with |C| <= bound and
+    residual |w + C| < thresh * max(A, |B|, |C|).  Yields each row that accepts
+    something as its list of (A, B, C, w, residual), in scan order and in mpmath
+    at the caller's precision.
 
-    Most pairs are ruled out in complex floats first.  An accepted triple has
-    |Im w| and dist(Re w, Z) at most its residual, so below thresh * bound;
-    the float value of w is within err = 1e-14*(A|z|^2 + |B||z|) + 1e-300 of
-    the mpmath one.  So a pair whose float w misses thresh * bound + err on
-    either count is rejected by the mpmath test too, and while that margin
-    stays below 1/4 the float rounding of -Re w is the exact C of every pair
-    that passes, so |C| and primitivity are tested on it before any mpmath
-    work.  The pairs that pass go through the unchanged mpmath expressions,
-    so the output is that of the full scan.  If z, z^2 or the margin is not a
-    finite float, or the margin reaches 1/4, every pair takes the mpmath path.
+    An accepted pair has |Im w| and dist(Re w, Z) below thresh * bound, and w in
+    complex floats is within err = 1e-14*(A|z|^2 + |B||z|) + 1e-300 of w (about
+    90 ulp, ten times the rounding), so a float screen with that margin drops
+    only pairs the mpmath test rejects.  Below a margin of 1/4 the float rounding
+    of -Re w is the exact C, so |C| and primitivity are screened too.  The pairs
+    left are confirmed with the unchanged mpmath expressions; if z, z^2 or the
+    margin is not finite, or the margin reaches 1/4, every pair is.
     """
     zf, z2f = complex(z), complex(z2)
     zr, zi = zf.real, zf.imag
-    ez, ez2 = _FLOAT_REL_ERR * abs(zf), _FLOAT_REL_ERR * abs(z2f)
-    limit = (float(thresh) * (1 + 1e-12) + _FLOAT_ABS_ERR) * bound + _FLOAT_ABS_ERR
+    ez, ez2 = 1e-14 * abs(zf), 1e-14 * abs(z2f)
+    limit = (float(thresh) * (1 + 1e-12) + 1e-300) * bound + 1e-300
     worst = limit + bound * (ez + ez2)
     screen = isfinite(worst) and worst < 0.25
     for A in range(a_min, bound + 1):
@@ -275,18 +260,17 @@ def _quadratic_rows(z, z2, bound: int, thresh, a_min: int):
                     continue
                 wr = ar + B * zr
                 c = round(-wr)
-                if abs(wr + c) <= margin and abs(c) <= bound and gcd(gcd(A, B), c) == 1:
+                if abs(wr + c) <= margin and abs(c) <= bound and gcd(A, B, c) == 1:
                     kept.append(B)
             bs = kept
         hits = []
         for B in bs:
             w = A * z2 + B * z
             C = int(mp.nint(-mp.re(w)))
-            if abs(C) > bound or gcd(gcd(A, abs(B)), abs(C)) != 1:
-                continue
-            residual = abs(w + C)
-            if residual < thresh * max(A, abs(B), abs(C)):
-                hits.append((A, B, C, w, residual))
+            if abs(C) <= bound and gcd(A, B, C) == 1:
+                residual = abs(w + C)
+                if residual < thresh * max(A, abs(B), abs(C)):
+                    hits.append((A, B, C, w, residual))
         if hits:
             yield hits
 
@@ -299,10 +283,9 @@ def detect_cm(tau, bound: int, ctx: PrecisionContext = None) -> CmCertificate | 
     sqrt(tol) * max(|A|, |B|, |C|), or None.  Numerical CM detection is a
     heuristic; both the coefficient bound and the threshold are surfaced.
 
-    The scan is that of _quadratic_rows: a float screen drops the pairs that
-    cannot pass, the rest are confirmed in mpmath at working precision.  On
-    the confirmed triples this function keeps its own tests (|Im w| within
-    sqrt(tol) * max(A, |B|, 1), D < 0) and its ordering key, so the
+    The scan is _quadratic_rows: a float screen, then mpmath confirmation at
+    working precision.  The confirmed triples meet this function's own tests
+    (|Im w| <= sqrt(tol) * max(A, |B|, 1), D < 0) and ordering key, so the
     certificate, residual included, is that of the full O(bound^2) scan.
     """
     ctx = ctx or PrecisionContext()

@@ -58,13 +58,14 @@ def test_criterion_1_legendre_suite():
         lat = random_lattice(rng)
         P = full_period_matrix(lat, CTX)
         assert P.legendre_residual < bound
-    # independent numerical-integration oracle on 3 lattices to 2^-60
+    # independent numerical-integration oracle on 3 lattices to 2^-60; 128-bit
+    # quadrature leaves about 2^-128 relative error, far below the bound
     oracle_bound = mp.mpf(2) ** -60
     rng2 = random.Random(77)
     for _ in range(3):
         lat = random_lattice(rng2)
         P = full_period_matrix(lat, CTX)
-        row = quasi_period_row_oracle(lat, CTX)
+        row = quasi_period_row_oracle(lat, CTX, quad_bits=128)
         for j in range(2):
             scale = max(1, abs(P.p[1, j]))
             assert abs(P.p[1, j] - row[j]) < oracle_bound * scale
