@@ -84,8 +84,10 @@ def test_recognize_quadratic_matches_full_scan(shift, bits):
     ctx = PrecisionContext(bits=bits)
     for i, z in enumerate(_special_values(bits)):
         bound = BOUNDS[(i + shift) % 3]
-        got = _outcome(recognize_quadratic, z, bound, ctx)
-        assert got == _outcome(recognize_quadratic_scan, z, bound, ctx), (z, bound)
+        # inside workprec, as the CLI calls it: mp.mpc(z) rounds z to the ambient precision
+        with ctx.workprec():
+            got = _outcome(recognize_quadratic, z, bound, ctx)
+            assert got == _outcome(recognize_quadratic_scan, z, bound, ctx), (z, bound)
 
 
 # degrees 2..30 split over the three precisions, the entries a, b, c over the bounds
