@@ -66,7 +66,6 @@ from .relations import (
     dispatch_case,
     first_way,
     four_coordinate,
-    g_vector,
     genuine_second_way,
     second_way,
     synth_first_way,

@@ -143,9 +143,10 @@ def _isogeny_task(packed):
     lat = Lattice.from_tau(tau)
     sub = CyclicSublattice(*triple)
     w, target, P1, P2 = make_witness(lat, sub, ctx)
-    norm = max(abs(P2.p[i, j]) for i in range(2) for j in range(2))
     probe = {}
     with ctx.workprec():
+        norm = max(abs(P2.p[i, j]) for i in range(2) for j in range(2))
+        relative = fmt_real(w.residual / norm)
         target_tau = target.tau
         for name, val in zip("abc", w.de_rham):
             rel = recognize_quadratic(val, 20, ctx)
@@ -156,7 +157,7 @@ def _isogeny_task(packed):
         "homology": list(w.homology),
         "de_rham": [fmt_complex(v) for v in w.de_rham],
         "residual": fmt_real(w.residual),
-        "relative_residual": fmt_real(w.residual / norm),
+        "relative_residual": relative,
         "target_tau": fmt_complex(target_tau),
         "algebraicity_probe": probe,
     }
@@ -175,7 +176,8 @@ def cmd_isogeny(args) -> int:
         triples = [(subs[0].a, subs[0].b, subs[0].d)]
     tasks = [(ctx.bits, tau, t) for t in triples]
     witnesses = _pmap(_isogeny_task, tasks, _jobs(args))
-    worst = max(mp.mpf(w["relative_residual"]) for w in witnesses)
+    with ctx.workprec():
+        worst = max(mp.mpf(w["relative_residual"]) for w in witnesses)
     payload = {
         "meta": meta_block(ctx, args.seed),
         "tau": fmt_complex(tau),
@@ -257,7 +259,7 @@ def _nonmembership(R, witness, attempts, ctx, seed):
     """The not-in-I0 certificate of R as JSON, or "inconclusive"."""
     try:
         cert = polyrel.not_in_I0(
-            R, IdealI0(smooth_coords=_smooth_coords_of(witness)), attempts, ctx, seed=seed
+            R, IdealI0(smooth_coords=witness.smooth_coords), attempts, ctx, seed=seed
         )
     except Inconclusive:
         return "inconclusive"
@@ -266,17 +268,6 @@ def _nonmembership(R, witness, attempts, ctx, seed):
         "value": fmt_value(cert.value),
         "attempts_used": cert.attempts_used,
     }
-
-
-def _smooth_coords_of(witness) -> frozenset:
-    configs = witness.config if isinstance(witness.config, tuple) else (witness.config,)
-    smooth = set()
-    for cfg in configs:
-        if isinstance(cfg, SecondWayConfig):
-            smooth.update((cfg.k_source, cfg.k_target))
-        elif isinstance(cfg, PairConfig):
-            smooth.add(cfg.k_cm)
-    return frozenset(smooth)
 
 
 def _emit_instance(path, witness, ctx):
@@ -581,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="seed recorded in output and used for sampling")
     common.add_argument("--jobs", type=int, default=None, help="worker processes (default: cpu count)")
     common.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
-    common.add_argument("--format", type=str, choices=["json", "csv"], default="json")
 
     parser = _Parser(prog="zpscan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -619,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     r2.add_argument("--tau3", type=str, default=None)
     r2.add_argument("--degree", type=int, default=None)
     r2.add_argument("--synthetic", action="store_true")
-    r2.add_argument("--degenerate", action="store_true")
     r2.add_argument("--emit-instance", type=str, default=None)
     r2.set_defaults(fn=cmd_relations)
     r1 = rsub.add_parser("first-way", parents=[common])
@@ -645,6 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common], help="reformat a scan report")
     p.add_argument("--in", dest="infile", type=str, required=True)
+    p.add_argument("--format", type=str, choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")

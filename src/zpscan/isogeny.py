@@ -228,8 +228,8 @@ def recognize_quadratic(z, bound: int, ctx: PrecisionContext = None):
     accepts a relation, with the answer of the full O(bound^2) scan.
     """
     ctx = ctx or PrecisionContext()
-    z = mp.mpc(z)
     with ctx.workprec():
+        z = mp.mpc(z)
         for hits in _quadratic_rows(z, z * z, bound, ctx.sqrt_tol, 0):
             A, B, C, _, _ = min(hits, key=lambda h: (abs(h[1]), abs(h[2]), h[4]))
             return (A, B, C)

@@ -5,19 +5,22 @@ value matrix of coordinate k.  Coefficients are exact (int / Fraction) where
 the inputs are exact, and mpmath mpc otherwise; the two kinds mix by coercing
 to mpc.
 
-The relation polynomials built here:
+Every H-form is h_entries: a cofactor row of one coordinate's matrix m,
+pushed through the triangular isogeny matrix [[a, 0], [b, c]] and paired with
+the two columns of another coordinate's matrix h.  relations computes its
+scalar H-entries with the same function on mp.matrix data, so an identity and
+its relation polynomial cannot drift apart.  Sign convention: the rows are
+(m22, -m12) ("top") and (-m21, m11) ("bottom"); these are the signs for which
+the forms vanish on consistent data (taking both products positively cuts a
+different hypersurface).  The relation polynomials built here:
 
-* degenerate branch (degree 2): the bilinear form whose vanishing expresses
-  the collapse of one H-entry.  Sign convention: the cofactor row
-  (-T[2,1], T[1,1]) of the singular-coordinate matrix is pushed through the
-  triangular isogeny matrix [[a, 0], [b, c]] and paired with a column of the
-  smooth-coordinate matrix; this is the sign for which the form actually
-  vanishes on consistent data (the alternative sign pattern, with both
-  products taken positively, cuts a different hypersurface).
+* degenerate branch (degree 2): one collapsed H-entry of a singular/CM pair,
+  the bottom row of the singular coordinate paired with the CM coordinate.
 * paired product (degree 4): r2*s2*H1^(1)*H2^(1) - r1*s1*H1^(2)*H2^(2).
 * double-CM product (degree 8): H1*H2*H3*H4 - p*q*r*s*det(X_k3)^2*det(X_k2)^2,
-  homogenized by the squared determinant quadrics, which evaluate to 1 on the
-  determinant-one locus.
+  with (H1, H2) from the bottom and (H3, H4) from the top row of the target
+  coordinate, homogenized by the squared determinant quadrics, which evaluate
+  to 1 on the determinant-one locus.
 
 Non-membership in the ideal generated by the smooth-coordinate determinant
 quadrics is certified by a witness point: a random rational point of the
@@ -34,7 +37,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .analytic import PrecisionContext, to_complex
-from .errors import DegenerateInput, Inconclusive, MissingAssignment
+from .errors import DegenerateInput, DomainError, Inconclusive, MissingAssignment
 
 Var = tuple  # (i, j, k)
 
@@ -227,32 +230,17 @@ def det_poly(k: int) -> MultiPoly:
     ) * MultiPoly.variable(2, 1, k)
 
 
-def matrix_polys(pi, k: int) -> list[list[MultiPoly]]:
-    """Entries of Pi * X_k as linear forms; pi is a 2x2 of scalars (or None = identity)."""
+def matrix_polys(pi, k: int) -> dict:
+    """Entries of Pi * X_k as linear forms keyed (i, j); pi is a 2x2 of scalars (or None = identity)."""
     if pi is None:
-        return [
-            [MultiPoly.variable(i + 1, j + 1, k) for j in range(2)] for i in range(2)
-        ]
-    rows = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            row.append(
-                MultiPoly.linear(
-                    [(_entry(pi, i, 0), (1, j + 1, k)), (_entry(pi, i, 1), (2, j + 1, k))]
-                )
-            )
-        rows.append(row)
-    return rows
-
-
-def column_polys(pi, k: int) -> tuple[MultiPoly, MultiPoly]:
-    """First-column linear forms of Pi * X_k for a singular coordinate (j = 1 only)."""
-    if pi is None:
-        return MultiPoly.variable(1, 1, k), MultiPoly.variable(2, 1, k)
-    t1 = MultiPoly.linear([(_entry(pi, 0, 0), (1, 1, k)), (_entry(pi, 0, 1), (2, 1, k))])
-    t2 = MultiPoly.linear([(_entry(pi, 1, 0), (1, 1, k)), (_entry(pi, 1, 1), (2, 1, k))])
-    return t1, t2
+        return {(i, j): MultiPoly.variable(i + 1, j + 1, k) for i in range(2) for j in range(2)}
+    return {
+        (i, j): MultiPoly.linear(
+            [(_entry(pi, i, 0), (1, j + 1, k)), (_entry(pi, i, 1), (2, j + 1, k))]
+        )
+        for i in range(2)
+        for j in range(2)
+    }
 
 
 def _entry(pi, i, j):
@@ -261,30 +249,30 @@ def _entry(pi, i, j):
     return pi[i][j]
 
 
-def _g_polys(a, b, c, t1: MultiPoly, t2: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Cofactor row (-t2, t1) pushed through [[a, 0], [b, c]]."""
-    g1 = t2.scaled(_neg(a)) + t1.scaled(b)
-    g2 = t1.scaled(c)
-    return g1, g2
+def h_entries(m, a, b, c, h, variant: str):
+    """(g . h[:, 0], g . h[:, 1]) for the cofactor row g of m pushed through [[a, 0], [b, c]].
+
+    "top" pushes (m22, -m12), which kills m's second column, to
+    g = (a*m22 - b*m12, -c*m12); "bottom" pushes (-m21, m11), which kills the
+    first, to g = (-a*m21 + b*m11, c*m11).  m and h are 2x2 arrays indexed
+    [i, j] (mp.matrix, or matrix_polys dicts) of numbers or MultiPoly.
+    """
+    # entries on the left: mpc * MultiPoly reaches MultiPoly.__rmul__ only
+    # after mpmath has failed to convert the polynomial, formatting its repr
+    if variant == "top":
+        g1, g2 = m[1, 1] * a - m[0, 1] * b, m[0, 1] * -c
+    elif variant == "bottom":
+        g1, g2 = m[1, 0] * -a + m[0, 0] * b, m[0, 0] * c
+    else:
+        raise DomainError(f"unknown h_entries variant {variant!r}")
+    return g1 * h[0, 0] + g2 * h[1, 0], g1 * h[0, 1] + g2 * h[1, 1]
 
 
-def _g_polys_top(a, b, c, m12: MultiPoly, m22: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Cofactor row (m22, -m12) pushed through [[a, 0], [b, c]]."""
-    g1 = m22.scaled(a) + m12.scaled(_neg(b))
-    g2 = m12.scaled(_neg(c))
-    return g1, g2
-
-
-def _neg(c):
-    return -c if _is_exact(c) else -_to_mpc(c)
-
-
-def h_pair_polys(a, b, c, t1, t2, h_cols) -> tuple[MultiPoly, MultiPoly]:
-    """(H1, H2) = (-t2, t1) * [[a,0],[b,c]] * h, paired with h's two columns."""
-    g1, g2 = _g_polys(a, b, c, t1, t2)
-    H1 = g1 * h_cols[0][0] + g2 * h_cols[1][0]
-    H2 = g1 * h_cols[0][1] + g2 * h_cols[1][1]
-    return H1, H2
+def pair_h_polys(a, b, c, pi_sing, pi_cm, k_sing: int, k_cm: int) -> tuple[MultiPoly, MultiPoly]:
+    """(H1, H2) of a singular/CM pair: bilinear in X_k_sing's first column and X_k_cm."""
+    return h_entries(
+        matrix_polys(pi_sing, k_sing), a, b, c, matrix_polys(pi_cm, k_cm), "bottom"
+    )
 
 
 def build_R_degenerate(
@@ -310,10 +298,7 @@ def build_R_degenerate(
         raise DegenerateInput("isogeny matrix must have a, c nonzero")
     if vanishing not in (1, 2):
         raise DegenerateInput("vanishing index must be 1 or 2")
-    t1, t2 = column_polys(pi_sing, k_sing)
-    h_cols = matrix_polys(pi_cm, k_cm)
-    H1, H2 = h_pair_polys(a, b, c, t1, t2, h_cols)
-    return H1 if vanishing == 1 else H2
+    return pair_h_polys(a, b, c, pi_sing, pi_cm, k_sing, k_cm)[vanishing - 1]
 
 
 @dataclass(frozen=True)
@@ -338,12 +323,9 @@ def build_R_pair_product(pair1: PairConfig, pair2: PairConfig) -> MultiPoly:
             "combined product requires nonzero homology integers; "
             "use build_R_degenerate for the collapsed branch"
         )
-    hs = []
-    for pair in (pair1, pair2):
-        t1, t2 = column_polys(pair.pi_sing, pair.k_sing)
-        h_cols = matrix_polys(pair.pi_cm, pair.k_cm)
-        hs.append(h_pair_polys(pair.a, pair.b, pair.c, t1, t2, h_cols))
-    (H1a, H2a), (H1b, H2b) = hs
+    (H1a, H2a), (H1b, H2b) = (
+        pair_h_polys(p.a, p.b, p.c, p.pi_sing, p.pi_cm, p.k_sing, p.k_cm) for p in (pair1, pair2)
+    )
     lhs = (H1a * H2a).scaled(pair2.r * pair2.s)
     rhs = (H1b * H2b).scaled(pair1.r * pair1.s)
     return lhs - rhs
@@ -370,13 +352,8 @@ def second_way_h_polys(cfg: SecondWayConfig):
     """The four H polynomials (bilinear in the two coordinate matrices)."""
     h3 = matrix_polys(cfg.pi_target, cfg.k_target)
     h2 = matrix_polys(cfg.pi_source, cfg.k_source)
-    gb1, gb2 = _g_polys(cfg.a, cfg.b, cfg.c, h3[0][0], h3[1][0])
-    gt1, gt2 = _g_polys_top(cfg.a, cfg.b, cfg.c, h3[0][1], h3[1][1])
-    H1 = gb1 * h2[0][0] + gb2 * h2[1][0]
-    H2 = gb1 * h2[0][1] + gb2 * h2[1][1]
-    H3 = gt1 * h2[0][0] + gt2 * h2[1][0]
-    H4 = gt1 * h2[0][1] + gt2 * h2[1][1]
-    return H1, H2, H3, H4
+    bottom = h_entries(h3, cfg.a, cfg.b, cfg.c, h2, "bottom")
+    return bottom + h_entries(h3, cfg.a, cfg.b, cfg.c, h2, "top")
 
 
 def build_R_second_way(cfg: SecondWayConfig) -> MultiPoly:

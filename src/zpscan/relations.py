@@ -13,7 +13,8 @@ matrix [[d, e0], [dprime, e0prime]] for a singular coordinate.
 
 Multiplying both sides on the left by a cofactor row of the right-hand matrix
 product (which reduces the right side to a single row of F_tgt * B) produces
-the H-vector identities:
+the H-vector identities.  polyrel.h_entries computes these rows and their
+pairings, on numbers here and on the relation polynomials in polyrel:
 
 * double-CM pair ("second way"): cofactor rows of h_tgt give
       (vp_src*H3/(2*pi*i), H4/vp_src) = (vp*p/(2*pi*i), vp*q/(2*pi*i))
@@ -41,7 +42,7 @@ only the polynomial presentation changes with Pi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -63,7 +64,7 @@ from .periods import (
     make_singular_structure,
 )
 from . import polyrel
-from .polyrel import MultiPoly, PairConfig, SecondWayConfig
+from .polyrel import MultiPoly, PairConfig, SecondWayConfig, h_entries
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,18 @@ class RelationWitness:
     @property
     def degenerate(self) -> bool:
         return bool(self.degenerate_flags)
+
+    @property
+    def smooth_coords(self) -> frozenset:
+        """The coordinates whose value matrices have determinant one (the CM ones)."""
+        configs = self.config if isinstance(self.config, tuple) else (self.config,)
+        smooth = set()
+        for cfg in configs:
+            if isinstance(cfg, SecondWayConfig):
+                smooth.update((cfg.k_source, cfg.k_target))
+            elif isinstance(cfg, PairConfig):
+                smooth.add(cfg.k_cm)
+        return frozenset(smooth)
 
 
 @dataclass(frozen=True)
@@ -119,23 +132,6 @@ class RelationInstance:
 
     def pi(self, index: int):
         return self.pi_overrides.get(index)
-
-
-def g_vector(m, a, b, c, variant: str):
-    """Cofactor row of the 2x2 matrix m pushed through [[a, 0], [b, c]].
-
-    variant "top" uses (m22, -m12), which kills the second column of m;
-    variant "bottom" uses (-m21, m11), which kills the first.  Returns the
-    stated linear combinations exactly:
-        top:    (a*m22 - b*m12, -c*m12)
-        bottom: (-a*m21 + b*m11, c*m11)
-    """
-    a, b, c = to_complex(a), to_complex(b), to_complex(c)
-    if variant == "top":
-        return a * m[1, 1] - b * m[0, 1], -c * m[0, 1]
-    if variant == "bottom":
-        return -a * m[1, 0] + b * m[0, 0], c * m[0, 0]
-    raise DomainError(f"unknown g_vector variant {variant!r}")
 
 
 def _pi_inverse_apply(pi, hmat):
@@ -188,12 +184,8 @@ def second_way(
         vps = h2.varpi  # source period
         vpt = h3.varpi  # target period
         tpi = ctx.two_pi_i
-        gt = g_vector(h3.h, a, b, c, "top")
-        gb = g_vector(h3.h, a, b, c, "bottom")
-        H3 = gt[0] * h2.h[0, 0] + gt[1] * h2.h[1, 0]
-        H4 = gt[0] * h2.h[0, 1] + gt[1] * h2.h[1, 1]
-        H1 = gb[0] * h2.h[0, 0] + gb[1] * h2.h[1, 0]
-        H2 = gb[0] * h2.h[0, 1] + gb[1] * h2.h[1, 1]
+        H3, H4 = h_entries(h3.h, a, b, c, h2.h, "top")
+        H1, H2 = h_entries(h3.h, a, b, c, h2.h, "bottom")
         entry_residuals = (
             abs(vps * H1 / tpi - r / vpt),
             abs(H2 / vps - s / vpt),
@@ -273,9 +265,7 @@ def first_way(
         T = h_sing.h * S
         vp0 = h_cm.varpi
         tpi = ctx.two_pi_i
-        g = g_vector(T, a, b, c, "bottom")
-        H1 = g[0] * h_cm.h[0, 0] + g[1] * h_cm.h[1, 0]
-        H2 = g[0] * h_cm.h[0, 1] + g[1] * h_cm.h[1, 1]
+        H1, H2 = h_entries(T, a, b, c, h_cm.h, "bottom")
         residual = abs(H1 * H2 - r * s / tpi)
         entry_residuals = (
             abs(H1 * vp0 / tpi - r / tpi),
@@ -471,17 +461,7 @@ def dispatch_case(inst: RelationInstance, ctx: PrecisionContext = None):
     witness = pair_witnesses[0]
     if len(inst.witnesses) == 2:
         # one pair unusable (singular/singular): relation carried by the other pair only
-        witness = RelationWitness(
-            way=witness.way,
-            H=witness.H,
-            rhs_integers=witness.rhs_integers,
-            residual=witness.residual,
-            degenerate_flags=witness.degenerate_flags,
-            entry_residuals=witness.entry_residuals,
-            config=witness.config,
-            assignment=witness.assignment,
-            partial=True,
-        )
+        witness = replace(witness, partial=True)
     return case_id, witness
 
 
@@ -497,51 +477,30 @@ def build_polynomial(witness: RelationWitness, ctx: PrecisionContext = None) -> 
 
 
 def _build_polynomial(witness: RelationWitness) -> MultiPoly:
+    cfg = witness.config
+    which = witness.degenerate_flags[0] if witness.degenerate_flags else None
     if witness.way == "second":
-        cfg = witness.config
-        if witness.degenerate_flags:
-            which = witness.degenerate_flags[0]
+        if which:
             # r collapses H1 (pairing with column 1), s collapses H2,
             # p collapses H3, q collapses H4
             H1, H2, H3, H4 = polyrel.second_way_h_polys(cfg)
             return {"r": H1, "s": H2, "p": H3, "q": H4}[which]
         return polyrel.build_R_second_way(cfg)
-    if witness.way == "four":
-        cfg1, cfg2 = witness.config
-        if witness.degenerate_flags:
-            which = witness.degenerate_flags[0]
-            cfg = cfg1  # four_coordinate puts the degenerate pair first
-            return polyrel.build_R_degenerate(
-                1 if which == "r" else 2,
-                cfg.a,
-                cfg.b,
-                cfg.c,
-                cfg.pi_sing,
-                cfg.pi_cm,
-                k_sing=cfg.k_sing,
-                k_cm=cfg.k_cm,
-            )
-        return polyrel.build_R_pair_product(cfg1, cfg2)
-    if witness.way == "first":
-        cfg = witness.config
-        if witness.degenerate_flags:
-            which = witness.degenerate_flags[0]
-            return polyrel.build_R_degenerate(
-                1 if which == "r" else 2,
-                cfg.a,
-                cfg.b,
-                cfg.c,
-                cfg.pi_sing,
-                cfg.pi_cm,
-                k_sing=cfg.k_sing,
-                k_cm=cfg.k_cm,
-            )
-        raise UnsupportedConfiguration(
-            "a single non-degenerate singular/CM pair has no polynomial relation "
-            "over the coefficient field (the product law carries a 2*pi*i); "
-            "combine two pairs or use the degenerate branch"
+    if witness.way not in ("first", "four"):
+        raise DomainError(f"unknown witness way {witness.way!r}")
+    if which:
+        if witness.way == "four":
+            cfg = cfg[0]  # four_coordinate puts the degenerate pair first
+        return polyrel.build_R_degenerate(
+            1 if which == "r" else 2, cfg.a, cfg.b, cfg.c, cfg.pi_sing, cfg.pi_cm, cfg.k_sing, cfg.k_cm
         )
-    raise DomainError(f"unknown witness way {witness.way!r}")
+    if witness.way == "four":
+        return polyrel.build_R_pair_product(*cfg)
+    raise UnsupportedConfiguration(
+        "a single non-degenerate singular/CM pair has no polynomial relation "
+        "over the coefficient field (the product law carries a 2*pi*i); "
+        "combine two pairs or use the degenerate branch"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class CheckResult:
     detail: str
 
 
-def random_lattice(rng: random.Random, bits: int) -> Lattice:
+def random_lattice(rng: random.Random, bits: int = 256) -> Lattice:
     """Seeded lattice with tau in a moderate band and a random unit-ish scale."""
     with mp.workprec(bits):
         re = mp.mpf(rng.randint(-500, 500)) / 1000

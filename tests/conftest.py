@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from zpscan.analytic import PrecisionContext
-from zpscan.periods import Lattice
+from zpscan.selftest import random_lattice  # noqa: F401  (imported by the test modules)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA_DIR = REPO_ROOT / "schemas"
@@ -26,17 +26,6 @@ def random_tau(rng: random.Random, bits: int = 256) -> mp.mpc:
         re = mp.mpf(rng.randint(-500, 500)) / 1000
         im = mp.mpf(rng.randint(500, 2000)) / 1000
         return mp.mpc(re, im)
-
-
-def random_lattice(rng: random.Random, bits: int = 256) -> Lattice:
-    with mp.workprec(bits):
-        tau = random_tau(rng, bits)
-        sre = mp.mpf(rng.randint(-900, 900)) / 500
-        sim = mp.mpf(rng.randint(-900, 900)) / 500
-        scale = mp.mpc(sre, sim)
-        if abs(scale) < mp.mpf(1) / 4:
-            scale += 1
-        return Lattice(scale, scale * tau)
 
 
 def load_schema(name: str) -> dict:

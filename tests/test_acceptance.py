@@ -171,9 +171,8 @@ def test_criterion_5_polynomial_certificates(synthetic_witnesses):
             assert R.degree() in (2, 8)
         vanish = abs(evaluate(R, w.assignment, CTX))
         assert vanish < CTX.tol * max(1, R.coeff_norm())
-        smooth = _smooth_of(w)
         try:
-            cert = not_in_I0(R, IdealI0(smooth_coords=smooth), 5, CTX, seed=built)
+            cert = not_in_I0(R, IdealI0(smooth_coords=w.smooth_coords), 5, CTX, seed=built)
             assert cert.attempts_used <= 5
         except Inconclusive:
             inconclusive += 1
@@ -181,19 +180,6 @@ def test_criterion_5_polynomial_certificates(synthetic_witnesses):
     assert built >= 100
     assert inconclusive <= built * 5 // 100
     _finish(5, f"polynomial-certificates ({built} built, {inconclusive} inconclusive)", t0, 60)
-
-
-def _smooth_of(witness):
-    from zpscan.polyrel import SecondWayConfig
-
-    configs = witness.config if isinstance(witness.config, tuple) else (witness.config,)
-    smooth = set()
-    for cfg in configs:
-        if isinstance(cfg, SecondWayConfig):
-            smooth.update((cfg.k_source, cfg.k_target))
-        else:
-            smooth.add(cfg.k_cm)
-    return frozenset(smooth)
 
 
 def test_criterion_6_modular_polynomial_suite():

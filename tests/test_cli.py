@@ -4,8 +4,11 @@ import mpmath as mp
 import pytest
 
 from zpscan import cli
+from zpscan.analytic import PrecisionContext
 from zpscan.cli import main
-from zpscan.periods import reduce_tau
+from zpscan.isogeny import cyclic_sublattices, make_witness
+from zpscan.periods import Lattice, reduce_tau
+from zpscan.serialize import fmt_real, parse_complex
 
 from conftest import validate_against
 
@@ -67,6 +70,18 @@ def test_unknown_subcommand(capsys):
     assert main(["no-such-thing"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relations", "second-way", "--synthetic", "--degenerate"],
+        ["periods", "--tau", "0,1", "--format", "csv"],
+    ],
+)
+def test_options_nothing_reads_are_rejected(capsys, argv):
+    # --format belongs to report only; second-way has no degenerate branch to force
+    assert main(argv) == 1
+
+
 def test_isogeny_verify_schema_and_threshold(capsys):
     code, doc = run_json(
         capsys, "isogeny", "verify", "--tau", "0,1", "--degree", "2", "--all-sublattices", "--jobs", "1"
@@ -77,6 +92,22 @@ def test_isogeny_verify_schema_and_threshold(capsys):
     for w in doc["witnesses"]:
         p, q, r, s = w["homology"]
         assert p * s - q * r == 2
+
+
+def test_isogeny_relative_residual_at_working_precision(capsys):
+    sub = cyclic_sublattices(12)[3]
+    code, doc = run_json(
+        capsys, "isogeny", "verify", "--tau", "0.25,1.3", "--degree", "12",
+        "--sublattice", f"{sub.a},{sub.b},{sub.d}", "--precision", "256", "--jobs", "1",
+    )
+    assert code == 0
+    ctx = PrecisionContext(bits=256)
+    w, _, _, P2 = make_witness(Lattice.from_tau(parse_complex("0.25,1.3")), sub, ctx)
+    with ctx.workprec():
+        norm = max(abs(P2.p[i, j]) for i in range(2) for j in range(2))
+        want = fmt_real(w.residual / norm)
+    assert doc["witnesses"][0]["relative_residual"] == want
+    assert doc["max_relative_residual"] == want
 
 
 def test_isogeny_jobs_determinism(tmp_path, capsys):

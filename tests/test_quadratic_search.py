@@ -84,10 +84,21 @@ def test_recognize_quadratic_matches_full_scan(shift, bits):
     ctx = PrecisionContext(bits=bits)
     for i, z in enumerate(_special_values(bits)):
         bound = BOUNDS[(i + shift) % 3]
-        # inside workprec, as the CLI calls it: mp.mpc(z) rounds z to the ambient precision
+        # inside workprec, as the CLI calls it: the oracle coerces z before it enters workprec
         with ctx.workprec():
             got = _outcome(recognize_quadratic, z, bound, ctx)
             assert got == _outcome(recognize_quadratic_scan, z, bound, ctx), (z, bound)
+
+
+def test_recognize_quadratic_keeps_input_precision():
+    # called outside workprec, a 288-bit input must not be re-rounded at the
+    # ambient 53 bits before the 256-bit search
+    ctx = PrecisionContext(bits=256)
+    with mp.workprec(288):
+        golden = (1 + mp.sqrt(5)) / 2
+        values = (golden, mp.mpc(golden))
+    for z in values:
+        assert recognize_quadratic(z, 10, ctx) == (1, -1, -1)
 
 
 # degrees 2..30 split over the three precisions, the entries a, b, c over the bounds

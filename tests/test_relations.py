@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -6,7 +7,16 @@ import pytest
 from zpscan.errors import DomainError, StructureViolation, UnsupportedConfiguration
 from zpscan.isogeny import CyclicSublattice, IsogenyWitness
 from zpscan.periods import StructuredPeriod
-from zpscan.polyrel import IdealI0, evaluate, not_in_I0
+from zpscan.polyrel import (
+    IdealI0,
+    det_poly,
+    evaluate,
+    h_entries,
+    matrix_polys,
+    not_in_I0,
+    pair_h_polys,
+    second_way_h_polys,
+)
 from zpscan.relations import (
     CoordinateData,
     InstanceWitness,
@@ -14,7 +24,6 @@ from zpscan.relations import (
     build_polynomial,
     dispatch_case,
     four_coordinate,
-    g_vector,
     genuine_second_way,
     random_sl2_gauges,
     second_way,
@@ -24,15 +33,16 @@ from zpscan.relations import (
 )
 
 
-def test_g_vector_formulas(ctx):
+def test_h_entries_formulas(ctx):
+    # paired with the identity, the H entries are the g row itself
     h = mp.eye(2)
-    assert g_vector(h, 1, 0, 1, "top") == (mp.mpc(1), mp.mpc(0))
-    assert g_vector(h, 1, 0, 1, "bottom") == (mp.mpc(0), mp.mpc(1))
+    assert h_entries(h, 1, 0, 1, h, "top") == (mp.mpc(1), mp.mpc(0))
+    assert h_entries(h, 1, 0, 1, h, "bottom") == (mp.mpc(0), mp.mpc(1))
     with pytest.raises(DomainError):
-        g_vector(h, 1, 0, 1, "sideways")
+        h_entries(h, 1, 0, 1, h, "sideways")
 
 
-def test_g_vector_cofactor_oracle(ctx):
+def test_h_entries_cofactor_oracle(ctx):
     # the g row is the stated cofactor row pushed through the triangle:
     # pairing it with the matrix itself must clear the corresponding column
     rng = random.Random(2)
@@ -41,8 +51,8 @@ def test_g_vector_cofactor_oracle(ctx):
             m = mp.matrix([[rng.randint(1, 5) + rng.randint(0, 3) * 1j for _ in range(2)] for _ in range(2)])
             a, b, c = mp.mpc(rng.randint(1, 4)), mp.mpc(rng.randint(-3, 3)), mp.mpc(rng.randint(1, 4))
             A = mp.matrix([[a, 0], [b, c]])
-            gt = g_vector(m, a, b, c, "top")
-            gb = g_vector(m, a, b, c, "bottom")
+            gt = h_entries(m, a, b, c, mp.eye(2), "top")
+            gb = h_entries(m, a, b, c, mp.eye(2), "bottom")
             # (cof row) * A = g  =>  g * A^-1 * m = (det-extraction row) * m
             top_row = mp.matrix([[m[1, 1], -m[0, 1]]])
             bot_row = mp.matrix([[-m[1, 0], m[0, 0]]])
@@ -52,6 +62,63 @@ def test_g_vector_cofactor_oracle(ctx):
             assert abs(want_t[0, 1] - gt[1]) < ctx.tol * max(1, abs(gt[1]))
             assert abs(want_b[0, 0] - gb[0]) < ctx.tol * max(1, abs(gb[0]))
             assert abs(want_b[0, 1] - gb[1]) < ctx.tol * max(1, abs(gb[1]))
+    # MultiPoly entries: with h = A^-1 * X the row reduces to the cofactor
+    # row times X, i.e. (det X, 0) for "top" and (0, det X) for "bottom"
+    x = matrix_polys(None, 1)
+    for a, b, c in ((Fraction(2), Fraction(-3), Fraction(1, 5)), (Fraction(-1, 3), Fraction(0), Fraction(7))):
+        h = {}
+        for j in range(2):
+            h[0, j] = x[0, j].scaled(1 / a)
+            h[1, j] = x[0, j].scaled(-b / (a * c)) + x[1, j].scaled(1 / c)
+        top = h_entries(x, a, b, c, h, "top")
+        bottom = h_entries(x, a, b, c, h, "bottom")
+        assert (top[0] - det_poly(1)).is_zero() and top[1].is_zero()
+        assert bottom[0].is_zero() and (bottom[1] - det_poly(1)).is_zero()
+
+
+def _witness_h_polys(w):
+    """The H polynomials of a witness, in the order of witness.H."""
+    if w.way == "second":
+        return second_way_h_polys(w.config)
+    configs = w.config if w.way == "four" else (w.config,)
+    return sum(
+        (pair_h_polys(c.a, c.b, c.c, c.pi_sing, c.pi_cm, c.k_sing, c.k_cm) for c in configs), ()
+    )
+
+
+def test_h_polynomials_match_witness_entries(ctx):
+    # the scalar identity and its polynomial come from one formula: evaluated
+    # at the witness assignment, the H polynomials (built at working
+    # precision, as build_polynomial does) give the witness's H entries
+    makers = [
+        lambda s, g: synth_first_way(s, ctx, pi_overrides=g),
+        lambda s, g: synth_first_way(s, ctx, force_r_zero=True, pi_overrides=g),
+        lambda s, g: synth_first_way(s, ctx, force_s_zero=True, pi_overrides=g),
+        lambda s, g: synth_second_way(s, ctx, pi_overrides=g),
+        lambda s, g: synth_second_way(s, ctx, degenerate="q", pi_overrides=g),
+        lambda s, g: synth_second_way(s, ctx, degenerate="r", pi_overrides=g),
+        lambda s, g: synth_four_coordinate(s, ctx, pi_overrides=g),
+        lambda s, g: synth_four_coordinate(s, ctx, degenerate_pair2=True, pi_overrides=g),
+        lambda s, g: synth_four_coordinate(s, ctx, shared_cm=True, pi_overrides=g),
+    ]
+    flags = set()
+    for make in makers:
+        for seed in range(6):
+            gauges = random_sl2_gauges(seed, [1, 2, 3, 4]) if seed % 2 else None
+            w = make(seed, gauges)
+            flags.add((w.way, w.degenerate_flags[:1]))
+            with ctx.workprec():
+                polys = _witness_h_polys(w)
+            assert len(polys) == len(w.H)
+            for poly, hval in zip(polys, w.H):
+                gap = abs(evaluate(poly, w.assignment, ctx) - hval)
+                assert gap <= ctx.tol * max(1, abs(hval))
+    # every way and every degenerate branch was reached
+    assert flags >= {
+        ("first", ()), ("first", ("r",)), ("first", ("s",)),
+        ("second", ()), ("second", ("q",)), ("second", ("r",)),
+        ("four", ()), ("four", ("r",)),
+    }
 
 
 def test_genuine_cm_pair_square_lattice(ctx):
