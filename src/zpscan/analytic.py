@@ -16,6 +16,8 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
+import math
 import os
 from dataclasses import dataclass
 
@@ -194,6 +196,11 @@ def j_invariant(tau, ctx: PrecisionContext = None) -> mp.mpc:
         e6 = eisenstein(6, tau, ctx)
         num = 1728 * e4 ** 3
         den = e4 ** 3 - e6 ** 2
+        if den == 0:
+            raise NonConvergence(
+                f"j_invariant: E4^3 - E6^2 cancels to 0 at Im(tau)={mp.nstr(mp.im(tau), 8)} "
+                f"with {ctx.bits} bits; raise the precision"
+            )
         return +(num / den)
 
 
@@ -206,23 +213,29 @@ def _polyval(coeffs, z):
 
 
 def polyroots(coeffs, ctx: PrecisionContext = None, max_sweeps: int = 1000) -> list[mp.mpc]:
-    """All complex roots (with multiplicity) by simultaneous Aberth iteration.
+    """All complex roots (with multiplicity): a float start, then Aberth at full precision.
 
-    coeffs ascending, leading coefficient nonzero, degree >= 1.  Termination
-    is residual-based: every root z must satisfy
-    |p(z)| <= tol * |lead| * max(1, |z|)**deg.  A cluster of m equal roots
-    then sits within about tol**(1/m) of the true location, so double roots
-    land inside the sqrt(tol) cluster tolerance.
+    coeffs ascending, leading coefficient nonzero, degree >= 1; they are
+    coerced at working precision.  The starting points come from Aberth
+    iteration in Python complex floats on the monic coefficients, begun on
+    the circles of their Newton polygon (Bini, Numer. Algorithms 1996); when
+    the float image of a coefficient or an iterate is not finite, or two
+    approximations coincide, the roots start on one circle of radius
+    1 + max|c| instead.  The simultaneous Aberth iteration at working
+    precision then polishes them and alone decides convergence: every root z
+    must satisfy |p(z)| <= tol * |lead| * max(1, |z|)**deg.  A cluster of m
+    equal roots then sits within about tol**(1/m) of the true location, so
+    double roots land inside the sqrt(tol) cluster tolerance.
     """
     ctx = ctx or PrecisionContext()
-    coeffs = [to_complex(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
-        raise DegenerateInput(
-            "polyroots needs degree >= 1 with nonzero leading coefficient"
-        )
     with ctx.workprec():
+        coeffs = [to_complex(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if len(coeffs) < 2:
+            raise DegenerateInput(
+                "polyroots needs degree >= 1 with nonzero leading coefficient"
+            )
         lead = coeffs[-1]
         # exact zero roots split off first
         nzero = 0
@@ -236,10 +249,14 @@ def polyroots(coeffs, ctx: PrecisionContext = None, max_sweeps: int = 1000) -> l
         monic = [c / lead for c in coeffs]
         dcoeffs = [monic[i] * i for i in range(1, deg + 1)]
         radius = 1 + max(abs(c) for c in monic[:-1])
-        z = [
-            radius * mp.exp(mp.mpc(0, 2 * mp.pi * k / deg + mp.mpf(2) / 5))
-            for k in range(deg)
-        ]
+        start = _float_start(monic)
+        if start is None:
+            z = [
+                radius * mp.exp(mp.mpc(0, 2 * mp.pi * k / deg + mp.mpf(2) / 5))
+                for k in range(deg)
+            ]
+        else:
+            z = [mp.mpc(w) for w in start]
         tiny = mp.mpf(2) ** (-(ctx.bits + _GUARD_BITS) * 2)
         for _ in range(max_sweeps):
             converged = True
@@ -271,4 +288,79 @@ def polyroots(coeffs, ctx: PrecisionContext = None, max_sweeps: int = 1000) -> l
                 roots = [+r for r in z] + zeros
                 roots.sort(key=lambda r: (mp.re(r), mp.im(r)))
                 return roots
-    raise NonConvergence(f"polyroots: no convergence after {max_sweeps} sweeps")
+        bits = mp.frexp(max(abs(c) for c in coeffs))[1]
+    raise NonConvergence(
+        f"polyroots: no convergence after {max_sweeps} sweeps "
+        f"(degree {deg}, largest coefficient {bits} bits)"
+    )
+
+
+_FLOAT_SWEEPS = 100
+
+
+def _float_start(monic):
+    """Aberth approximations of the roots of a monic polynomial in complex floats, or None.
+
+    Starts on the Newton polygon circles of the coefficients and stops
+    updating a root once its step is below 1e-15 of it.  None when a
+    coefficient or iterate is not a finite float or two approximations
+    coincide.
+    """
+    try:
+        c = [complex(x) for x in monic]
+        # an underflowed constant term would drop Newton polygon points
+        if c[0] == 0 or not all(cmath.isfinite(x) for x in c):
+            return None
+        deg = len(c) - 1
+        dc = [c[i] * i for i in range(1, deg + 1)]
+        z = _newton_polygon_start(c)
+        active = list(range(deg))
+        for _ in range(_FLOAT_SWEEPS):
+            if not active:
+                break
+            still = []
+            for k in active:
+                zk = z[k]
+                pk = dk = 0j
+                for a in reversed(c):
+                    pk = pk * zk + a
+                for a in reversed(dc):
+                    dk = dk * zk + a
+                newton = pk / dk
+                acc = sum(1 / (zk - z[m]) for m in range(deg) if m != k)
+                step = newton / (1 - newton * acc)
+                z[k] = zk - step
+                if not abs(step) <= 1e-15 * abs(z[k]):
+                    still.append(k)
+            active = still
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not all(cmath.isfinite(w) for w in z) or len(set(z)) < deg:
+        return None
+    return z
+
+
+def _newton_polygon_start(c):
+    """Starting points on the circles of the upper Newton polygon of (k, log|c_k|).
+
+    An edge from k to l holds l - k points on the circle of radius
+    (|c_k| / |c_l|)**(1/(l - k)), about the modulus of that many roots.
+    """
+    deg = len(c) - 1
+    hull = []
+    for k, a in enumerate(c):
+        if a == 0:
+            continue
+        pt = (k, math.log(abs(a)))
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) < 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    z = []
+    for (k, yk), (l, yl) in zip(hull, hull[1:]):
+        r = math.exp((yk - yl) / (l - k))
+        for m in range(l - k):
+            z.append(r * cmath.exp(1j * (2 * math.pi * (m / (l - k) + k / deg) + 0.4)))
+    return z

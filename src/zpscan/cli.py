@@ -495,6 +495,8 @@ def cmd_scan(args) -> int:
         for root in pt.defining.roots:
             tasks.append((ctx.bits, curve_text, (pt.pair1[0], pt.pair1[1]), pt.pair1[2], root))
     soundness = _pmap(_scan_soundness_task, tasks, _jobs(args))
+    # a root whose coordinate value cannot be lifted through j is unverified
+    unverified = any(s is None for s in soundness)
     worst = max((s for s in soundness if s is not None), default=mp.mpf(0))
     summary = build_report(points)
     payload = {
@@ -507,7 +509,7 @@ def cmd_scan(args) -> int:
         "worst_soundness_residual": fmt_real(worst),
     }
     _emit(args, payload)
-    return EXIT_OK if worst < ctx.sqrt_tol else EXIT_VERIFICATION
+    return EXIT_OK if worst < ctx.sqrt_tol and not unverified else EXIT_VERIFICATION
 
 
 def cmd_report(args) -> int:

@@ -292,14 +292,18 @@ def mahler_height(p: IntPoly, ctx: PrecisionContext = None) -> mp.mpf:
     if p.is_zero() or p.degree < 1:
         raise DomainError("mahler_height requires degree >= 1")
     p = p.primitive()
+    return _mahler_height_of_roots(p.lead, polyroots(p.coeffs, ctx), ctx)
+
+
+def _mahler_height_of_roots(lead: int, roots, ctx: PrecisionContext) -> mp.mpf:
+    """(1/deg) * (log|lead| + sum log max(1, |root|)) for a primitive polynomial's roots."""
     with ctx.workprec():
-        roots = polyroots([mp.mpf(c) for c in p.coeffs], ctx)
-        acc = mp.log(abs(mp.mpf(p.lead)))
+        acc = mp.log(abs(mp.mpf(lead)))
         for r in roots:
             m = abs(r)
             if m > 1:
                 acc += mp.log(m)
-        return +(acc / p.degree)
+        return +(acc / len(roots))
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,7 @@ class AlgebraicPointSet:
         sf = squarefree(p)
         if sf.degree < 1:
             return cls(defining=sf, degree_bound=0, roots=())
-        roots = polyroots([mp.mpf(c) for c in sf.coeffs], ctx)
+        roots = polyroots(sf.coeffs, ctx)
         return cls(defining=sf, degree_bound=sf.degree, roots=tuple(roots))
 
 

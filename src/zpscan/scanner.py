@@ -28,7 +28,16 @@ import mpmath as mp
 
 from .analytic import PrecisionContext, eisenstein, to_complex
 from .errors import DegenerateInput, DomainError, NonConvergence
-from .exactpoly import AlgebraicPointSet, IntPoly, RatFunc, gcd, mahler_height, resultant, squarefree
+from .exactpoly import (
+    AlgebraicPointSet,
+    IntPoly,
+    RatFunc,
+    _mahler_height_of_roots,
+    gcd,
+    mahler_height,
+    resultant,
+    squarefree,
+)
 from .isogeny import psi
 from .modular import ModularPolynomial, phi_eval_numeric
 from .periods import detect_cm, reduce_tau
@@ -220,7 +229,10 @@ def unlikely_points(
 
 def _make_point(curve, pair1, pair2, poly, ctx) -> ScanPoint:
     ps = AlgebraicPointSet.from_poly(poly, ctx)
-    height_t = mahler_height(ps.defining, ctx) if ps.degree_bound >= 1 else mp.mpf(0)
+    # ps.defining is primitive, so its roots are the ones mahler_height would find
+    height_t = (
+        _mahler_height_of_roots(ps.defining.lead, ps.roots, ctx) if ps.degree_bound >= 1 else mp.mpf(0)
+    )
     heights = []
     flags = []
     idxs = [pair1[0], pair1[1]] + ([pair2[0], pair2[1]] if pair2 else [])

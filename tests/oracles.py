@@ -8,7 +8,9 @@ Everything here deliberately avoids the code paths it checks:
 * the lemniscatic integral pins the AGM;
 * resultants are re-derived by Fraction Gaussian elimination of the Sylvester
   matrix;
-* sublattice counts come from raw triple enumeration.
+* sublattice counts come from raw triple enumeration;
+* polynomial roots come from Aberth iteration started on one circle, the
+  start ``analytic.polyroots`` falls back to.
 """
 
 from __future__ import annotations
@@ -267,3 +269,72 @@ def recognize_quadratic_scan(z, bound: int, ctx: PrecisionContext):
                 if best is None or key < best[0]:
                     best = (key, (A, B, C))
     return best[1] if best else None
+
+
+def polyroots_circle(coeffs, ctx: PrecisionContext, max_sweeps: int = 1000):
+    """Aberth iteration from one circle of radius 1 + max|c|, kept as the reference of ``polyroots``.
+
+    The same sweep and stopping rule as ``analytic.polyroots``, without its
+    float start; coefficients are coerced at working precision.
+    """
+    from zpscan.analytic import to_complex
+    from zpscan.errors import NonConvergence
+
+    with ctx.workprec():
+        coeffs = [to_complex(c) for c in coeffs]
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        lead = coeffs[-1]
+        nzero = 0
+        while coeffs[0] == 0:
+            coeffs = coeffs[1:]
+            nzero += 1
+        deg = len(coeffs) - 1
+        zeros = [mp.mpc(0)] * nzero
+        if deg == 0:
+            return zeros
+        monic = [c / lead for c in coeffs]
+        dcoeffs = [monic[i] * i for i in range(1, deg + 1)]
+
+        def val(cs, x):
+            acc = mp.mpc(0)
+            for c in reversed(cs):
+                acc = acc * x + c
+            return acc
+
+        radius = 1 + max(abs(c) for c in monic[:-1])
+        z = [radius * mp.exp(mp.mpc(0, 2 * mp.pi * k / deg + mp.mpf(2) / 5)) for k in range(deg)]
+        tiny = mp.mpf(2) ** (-mp.mp.prec * 2)
+        for _ in range(max_sweeps):
+            converged = True
+            for k in range(deg):
+                pk = val(monic, z[k])
+                if abs(pk) > ctx.tol * max(mp.mpf(1), abs(z[k])) ** deg:
+                    converged = False
+                dpk = val(dcoeffs, z[k])
+                if dpk == 0:
+                    z[k] += mp.mpf(radius) * mp.mpf(2) ** (-ctx.bits // 3)
+                    converged = False
+                    continue
+                newton = pk / dpk
+                acc = mp.mpc(0)
+                for m in range(deg):
+                    if m != k:
+                        diff = z[k] - z[m]
+                        acc += 1 / (tiny if abs(diff) < tiny else diff)
+                denom = 1 - newton * acc
+                z[k] -= newton if denom == 0 else newton / denom
+            if converged:
+                roots = [+r for r in z] + zeros
+                roots.sort(key=lambda r: (mp.re(r), mp.im(r)))
+                return roots
+    raise NonConvergence(f"polyroots_circle: no convergence after {max_sweeps} sweeps")
+
+
+def mahler_height_mpmath(coeffs, bits: int = 512) -> mp.mpf:
+    """(log|lead| + sum log max(1, |root|)) / degree of integer coefficients, roots by ``mpmath.polyroots``."""
+    with mp.workprec(bits):
+        roots = mp.polyroots([mp.mpf(c) for c in reversed(coeffs)], maxsteps=500, extraprec=1000)
+        acc = mp.log(abs(mp.mpf(coeffs[-1])))
+        acc += sum(mp.log(abs(r)) for r in roots if abs(r) > 1)
+        return acc / (len(coeffs) - 1)

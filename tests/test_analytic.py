@@ -3,10 +3,10 @@ import random
 import mpmath as mp
 import pytest
 
-from zpscan.analytic import PrecisionContext, agm, eisenstein, j_invariant, polyroots
+from zpscan.analytic import PrecisionContext, _float_start, agm, eisenstein, j_invariant, polyroots
 from zpscan.errors import DegenerateInput, DomainError, NonConvergence
 
-from oracles import expand_from_roots, lemniscate_constant, log_delta_derivative
+from oracles import expand_from_roots, lemniscate_constant, log_delta_derivative, polyroots_circle
 
 
 def test_precision_context_defaults():
@@ -168,3 +168,61 @@ def test_polyroots_zero_roots_and_errors(ctx):
         polyroots([3], ctx)
     with pytest.raises(DegenerateInput):
         polyroots([], ctx)
+
+
+def _multiset_gap(got, want):
+    """Largest relative distance when each root of got is matched to its nearest unused root of want."""
+    want = list(want)
+    assert len(got) == len(want)
+    worst = mp.mpf(0)
+    for r in got:
+        i = min(range(len(want)), key=lambda m: abs(want[m] - r))
+        worst = max(worst, abs(want.pop(i) - r) / max(1, abs(r)))
+    return worst
+
+
+def test_polyroots_matches_circle_start_oracle(ctx):
+    rng = random.Random(31)
+    with ctx.workprec():
+        for deg in range(1, 16):
+            bits = rng.randint(1, 400)
+            coeffs = [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(deg)]
+            coeffs.append(rng.randint(1, 2 ** bits))
+            if coeffs[0] == 0:
+                coeffs[0] = 1
+            assert _float_start([mp.mpc(c) / coeffs[-1] for c in coeffs]) is not None
+            assert _multiset_gap(polyroots(coeffs, ctx), polyroots_circle(coeffs, ctx)) < ctx.tol
+
+
+def test_polyroots_double_root_matches_oracle(ctx):
+    # (x - 1)^2 (x - 2): the two starts land at different points of the
+    # sqrt(tol) cluster around 1; the simple root agrees to tol
+    coeffs = [-2, 5, -4, 1]
+    got, want = polyroots(coeffs, ctx), polyroots_circle(coeffs, ctx)
+    with ctx.workprec():
+        assert _multiset_gap(got, want) < ctx.sqrt_tol
+        assert abs(got[2] - 2) < ctx.tol and abs(want[2] - 2) < ctx.tol
+        assert all(abs(r - 1) < ctx.sqrt_tol for r in got[:2] + want[:2])
+
+
+def test_polyroots_float_overflow_takes_circle_start(ctx):
+    # the monic coefficients exceed the float range, so the circle start is used
+    coeffs = [3 * 10 ** 400, -(10 ** 400 + 3), 1]
+    with ctx.workprec():
+        assert _float_start([mp.mpc(c) for c in coeffs]) is None
+    roots = polyroots(coeffs, ctx)
+    assert roots == polyroots_circle(coeffs, ctx)
+    with ctx.workprec():
+        assert abs(roots[0] - 3) < ctx.tol and abs(roots[1] / 10 ** 400 - 1) < ctx.tol
+
+
+def test_polyroots_nonconvergence_names_the_input(ctx):
+    with pytest.raises(NonConvergence, match=r"after 2 sweeps \(degree 2, largest coefficient 1331 bits\)"):
+        polyroots([3 * 10 ** 400, -(10 ** 400 + 3), 1], ctx, max_sweeps=2)
+
+
+def test_j_invariant_names_delta_cancellation():
+    # at tau = 45i, q is real and E4^3, E6^2 both round to 1 at 256 bits
+    ctx = PrecisionContext(bits=256)
+    with pytest.raises(NonConvergence, match=r"E4\^3 - E6\^2 cancels to 0 at Im\(tau\)=45.0 with 256 bits"):
+        j_invariant((0, 45), ctx)

@@ -6,6 +6,7 @@ import pytest
 from zpscan import cli
 from zpscan.analytic import PrecisionContext
 from zpscan.cli import main
+from zpscan.errors import NonConvergence
 from zpscan.isogeny import cyclic_sublattices, make_witness
 from zpscan.periods import Lattice, reduce_tau
 from zpscan.serialize import fmt_real, parse_complex
@@ -141,6 +142,16 @@ def test_phi_eval_schema(capsys):
     assert abs(float(doc["value"][0])) < 1e-30
 
 
+def test_phi_eval_names_delta_cancellation(capsys):
+    # a sublattice tau reaches Im 39, where E4^3 - E6^2 rounds to 0 at 256 bits
+    code = main(["phi", "eval", "--level", "30", "--x", "1728,0", "--tau", "0.1,1.3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "E4^3 - E6^2 cancels to 0 at Im(tau)=39.0 with 256 bits" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_relations_synthetic_and_schema(capsys):
     code, doc = run_json(capsys, "relations", "first-way", "--synthetic", "--seed", "9", "--degenerate")
     assert code == 0
@@ -229,6 +240,29 @@ def test_scan_jobs_determinism(tmp_path, capsys):
     assert main(["scan", "--curve", str(curve), "--levels", "2..2", "--jobs", "1", "--out", str(a)]) == 0
     assert main(["scan", "--curve", str(curve), "--levels", "2..2", "--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_fails_when_a_root_cannot_be_lifted(tmp_path, capsys, monkeypatch):
+    curve = tmp_path / "curve.txt"
+    curve.write_text("n = 2\nj1 = 0 1 / 1\nj2 = 1 1 / 1\n")
+    argv = ["scan", "--curve", str(curve), "--levels", "2", "--jobs", "1"]
+    code, good = run_json(capsys, *argv)
+    assert code == 0
+    calls = []
+    real = cli.soundness_residual
+
+    def lift_fails_once(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NonConvergence("could not lift the coordinate value through j")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "soundness_residual", lift_fails_once)
+    code, doc = run_json(capsys, *argv)
+    assert len(calls) == len(good["report"]["rows"][0]["t_minpoly"]) - 1
+    assert code == 2
+    assert doc["report"] == good["report"]
+    assert mp.mpf(doc["worst_soundness_residual"]) < PrecisionContext().sqrt_tol
 
 
 def test_precision_env_override(capsys, monkeypatch):

@@ -144,6 +144,17 @@ def test_algebraic_point_set(ctx):
     assert gcd(ps.defining, ps.defining.derivative()).degree == 0
 
 
+def test_algebraic_point_set_ignores_ambient_precision(ctx):
+    # coefficients above 2^53 whose low bits move the roots
+    p = P(2 ** 61 + 3, -(2 ** 60 + 1), 1)
+    with mp.workprec(53):
+        low = AlgebraicPointSet.from_poly(p, ctx)
+    with mp.workprec(300):
+        high = AlgebraicPointSet.from_poly(p, ctx)
+    assert low.defining.coeffs == p.coeffs
+    assert low.roots == high.roots
+
+
 def test_ratfunc():
     f = RatFunc.from_coeffs([0, 1], [1, 1])
     assert f(2) == mp.mpf(2) / 3

@@ -5,12 +5,13 @@ import pytest
 
 from zpscan.analytic import j_invariant
 from zpscan.errors import DegenerateInput, DomainError
-from zpscan.exactpoly import RatFunc, gcd
+from zpscan.exactpoly import RatFunc, gcd, mahler_height, squarefree
 from zpscan.modular import phi_recover_exact, phi_x_minus_y
 from zpscan.periods import detect_cm
 from zpscan.scanner import (
     CurveModel,
     all_pairs,
+    coordinate_value_poly,
     format_curve,
     invert_j,
     parse_curve_file,
@@ -19,6 +20,8 @@ from zpscan.scanner import (
     stratum_poly,
     unlikely_points,
 )
+
+from oracles import mahler_height_mpmath
 
 LINE_CURVE = CurveModel(n=2, maps=(RatFunc.from_coeffs([0, 1]), RatFunc.from_coeffs([1, 1])))
 
@@ -120,6 +123,27 @@ def test_engineered_double_stratum(ctx):
     assert pt.defining.defining.divides(s12) and pt.defining.defining.divides(s13)
     # at t = 1 every coordinate value is a singular modulus
     assert all(flag for (_, flag) in pt.singular_modulus_flags)
+
+
+def test_height_t_matches_mahler_height(ctx):
+    for pt in unlikely_points(ENGINEERED, [2, 3], ctx=ctx):
+        assert pt.height_t == mahler_height(pt.defining.defining, ctx)
+
+
+def test_engineered_curve_level5_heights(ctx):
+    # the point on stratum (1, 3, 5) has a degree-15 coordinate-value
+    # polynomial for j3 with 114-digit coefficients
+    pts = unlikely_points(ENGINEERED, [5], ctx=ctx)
+    assert [p.pair1 for p in pts] == [(1, 2, 5), (1, 3, 5), (2, 3, 5)]
+    pt = pts[1]
+    assert pt.degree_bound == 15
+    assert abs(pt.height_t - mahler_height_mpmath(pt.defining.defining.coeffs)) < ctx.tol
+    for i, h in pt.heights:
+        jpoly = squarefree(coordinate_value_poly(pt.defining.defining, ENGINEERED.map(i)))
+        assert jpoly.degree == 15
+        assert abs(h - mahler_height_mpmath(jpoly.coeffs)) < ctx.tol * max(1, h)
+    jpoly3 = squarefree(coordinate_value_poly(pt.defining.defining, ENGINEERED.map(3)))
+    assert len(str(max(abs(c) for c in jpoly3.coeffs))) == 114
 
 
 def test_exactness_divisibility(ctx):
