@@ -146,14 +146,18 @@ def _sigma(kpow: int, nmax: int) -> list[int]:
 
 _EISEN_COEF = {2: -24, 4: 240, 6: -504}
 
+_LOG2 = math.log(2)
+
 
 def eisenstein(k: int, tau, ctx: PrecisionContext = None) -> mp.mpc:
     """Weight-k Eisenstein series E_k(tau), k in {2, 4, 6}, by q-series.
 
-    The series is truncated once the current term drops below tol * 2**-16;
-    precision suffers for Im(tau) very small, so reduce tau first.  E_2 is
-    quasi-modular (it picks up an affine term under inversion); that is a
-    property of the function, not corrected here.
+    The series is truncated before its first term below tol * 2**-16; that
+    term is found from Im(tau) before summing (see _series_length).  Raises
+    NonConvergence when it lies beyond ctx.max_terms: precision suffers for
+    Im(tau) very small, so reduce tau first.  E_2 is quasi-modular (it picks
+    up an affine term under inversion); that is a property of the function,
+    not corrected here.
     """
     if k not in _EISEN_COEF:
         raise DomainError(f"eisenstein weight must be 2, 4 or 6, got {k}")
@@ -161,28 +165,58 @@ def eisenstein(k: int, tau, ctx: PrecisionContext = None) -> mp.mpc:
     tau = to_complex(tau)
     if not mp.im(tau) > 0:
         raise DomainError("eisenstein requires Im(tau) > 0")
-    coef = _EISEN_COEF[k]
     with ctx.workprec():
-        q = mp.exp(ctx.two_pi_i * tau)
-        cutoff = ctx.tol * mp.mpf(2) ** (-16)
+        return _eisenstein_sums((k,), tau, ctx)[0]
+
+
+def _eisenstein_sums(weights, tau, ctx) -> list[mp.mpc]:
+    """[E_k(tau) for k in weights], all summed over one list of powers q**n.
+
+    Each series keeps exactly the terms eisenstein(k) keeps.  Call inside
+    ctx.workprec() with Im(tau) > 0.
+    """
+    counts = [_series_length(k, tau, ctx) for k in weights]
+    q = mp.exp(ctx.two_pi_i * tau)
+    powers = []
+    qn = mp.mpc(1)
+    for _ in range(max(counts)):
+        qn *= q
+        powers.append(qn)
+    sums = []
+    for k, count in zip(weights, counts):
+        coef = _EISEN_COEF[k]
+        sig = _sigma(k - 1, count)
         total = mp.mpc(1)
-        qn = mp.mpc(1)
-        n = 0
+        for n in range(1, count + 1):
+            total += coef * sig[n] * powers[n - 1]
+        sums.append(+total)
+    return sums
+
+
+def _series_length(k: int, tau, ctx) -> int:
+    """The n of the first term of E_k's q-series whose modulus is below tol * 2**-16.
+
+    |c_k * sigma_{k-1}(n) * q**n| = |c_k| * sigma_{k-1}(n) * exp(-2*pi*n*Im(tau))
+    is compared with the cutoff in float logarithms.  sigma_{k-1}(n) >= 1, so
+    no n below n0 = log(cutoff/|c_k|) / log|q| qualifies and the search starts
+    there.  Raises NonConvergence when the term lies beyond ctx.max_terms.
+    """
+    log_coef = math.log(abs(_EISEN_COEF[k]))
+    mant, exp = mp.frexp(ctx.tol)
+    log_cutoff = math.log(mant) + (exp - 16) * _LOG2
+    log_q = -2 * math.pi * float(mp.im(tau))
+    n0 = (log_cutoff - log_coef) / log_q if log_q < 0 else math.inf
+    if n0 <= ctx.max_terms:
         sig = _sigma(k - 1, 256)
-        while True:
-            n += 1
-            if n > ctx.max_terms:
-                raise NonConvergence(
-                    f"E_{k} q-series needs more than max_terms={ctx.max_terms} terms "
-                    f"at Im(tau)={mp.nstr(mp.im(tau), 8)}; reduce tau first"
-                )
+        for n in range(max(1, int(n0)), ctx.max_terms + 1):
             if n >= len(sig):
                 sig = _sigma(k - 1, 2 * n)
-            qn *= q
-            term = coef * sig[n] * qn
-            total += term
-            if abs(term) < cutoff:
-                return +total
+            if log_coef + math.log(sig[n]) + n * log_q < log_cutoff:
+                return n
+    raise NonConvergence(
+        f"E_{k} q-series needs more than max_terms={ctx.max_terms} terms "
+        f"at Im(tau)={mp.nstr(mp.im(tau), 8)}; reduce tau first"
+    )
 
 
 def j_invariant(tau, ctx: PrecisionContext = None) -> mp.mpc:
@@ -192,8 +226,7 @@ def j_invariant(tau, ctx: PrecisionContext = None) -> mp.mpc:
     if not mp.im(tau) > 0:
         raise DomainError("j_invariant requires Im(tau) > 0")
     with ctx.workprec():
-        e4 = eisenstein(4, tau, ctx)
-        e6 = eisenstein(6, tau, ctx)
+        e4, e6 = _eisenstein_sums((4, 6), tau, ctx)
         num = 1728 * e4 ** 3
         den = e4 ** 3 - e6 ** 2
         if den == 0:
@@ -202,6 +235,39 @@ def j_invariant(tau, ctx: PrecisionContext = None) -> mp.mpc:
                 f"with {ctx.bits} bits; raise the precision"
             )
         return +(num / den)
+
+
+def _j_float(tau: complex, value: complex) -> tuple[complex, complex]:
+    """(j(tau) - value, dj/dtau) in complex floats, for a starting point of Newton's method.
+
+    Delta = q * prod(1 - q**n)**24, which does not cancel at large Im(tau) as
+    E4^3 - E6^2 does.  j - value is E4^3 / Delta - value, or, when value is
+    nearer 1728 than 0, E6^2 / Delta - (value - 1728) (1728 Delta =
+    E4^3 - E6^2), so that it keeps its accuracy near the triple root rho of j
+    and near the double root i of j - 1728.  dj/dtau = -2*pi*i E4^2 E6 / Delta.
+    The series and the product stop once 504 * n**5 * |q**n| < 2**-60.
+    Raises ZeroDivisionError when q underflows (Im(tau) above about 110).
+    """
+    q = cmath.exp(2j * math.pi * tau)
+    s3, s5 = _sigma(3, 64), _sigma(5, 64)
+    e4 = e6 = prod = qn = 1 + 0j
+    n = 0
+    while True:
+        n += 1
+        qn *= q
+        if 504 * n ** 5 * abs(qn) < 2.0 ** -60:
+            break
+        if n >= len(s5):
+            s3, s5 = _sigma(3, 2 * n), _sigma(5, 2 * n)
+        e4 += 240 * s3[n] * qn
+        e6 -= 504 * s5[n] * qn
+        prod *= 1 - qn
+    delta = q * prod ** 24
+    if abs(value) <= abs(value - 1728):
+        residual = e4 ** 3 / delta - value
+    else:
+        residual = e6 ** 2 / delta - (value - 1728)
+    return residual, -2j * math.pi * e4 ** 2 * e6 / delta
 
 
 def _polyval(coeffs, z):

@@ -492,8 +492,10 @@ def cmd_scan(args) -> int:
     for pt in points:
         if pt.defining is None or pt.numeric_only:
             continue
-        for root in pt.defining.roots:
-            tasks.append((ctx.bits, curve_text, (pt.pair1[0], pt.pair1[1]), pt.pair1[2], root))
+        # a double point is checked on both of its strata
+        for i1, i2, M in filter(None, (pt.pair1, pt.pair2)):
+            for root in pt.defining.roots:
+                tasks.append((ctx.bits, curve_text, (i1, i2), M, root))
     soundness = _pmap(_scan_soundness_task, tasks, _jobs(args))
     # a root whose coordinate value cannot be lifted through j is unverified
     unverified = any(s is None for s in soundness)

@@ -268,11 +268,19 @@ def h_entries(m, a, b, c, h, variant: str):
     return g1 * h[0, 0] + g2 * h[1, 0], g1 * h[0, 1] + g2 * h[1, 1]
 
 
-def pair_h_polys(a, b, c, pi_sing, pi_cm, k_sing: int, k_cm: int) -> tuple[MultiPoly, MultiPoly]:
-    """(H1, H2) of a singular/CM pair: bilinear in X_k_sing's first column and X_k_cm."""
-    return h_entries(
-        matrix_polys(pi_sing, k_sing), a, b, c, matrix_polys(pi_cm, k_cm), "bottom"
-    )
+def pair_h_polys(
+    a, b, c, pi_sing, pi_cm, k_sing: int, k_cm: int, ctx: PrecisionContext = None
+) -> tuple[MultiPoly, MultiPoly]:
+    """(H1, H2) of a singular/CM pair: bilinear in X_k_sing's first column and X_k_cm.
+
+    Like every builder below, its coefficients are multiplied at ctx's
+    working precision, whatever the caller's.
+    """
+    ctx = ctx or PrecisionContext()
+    with ctx.workprec():
+        return h_entries(
+            matrix_polys(pi_sing, k_sing), a, b, c, matrix_polys(pi_cm, k_cm), "bottom"
+        )
 
 
 def build_R_degenerate(
@@ -284,6 +292,7 @@ def build_R_degenerate(
     pi_cm,
     k_sing: int = 1,
     k_cm: int = 3,
+    ctx: PrecisionContext = None,
 ) -> MultiPoly:
     """Degree-2 relation polynomial for a collapsed H-entry of a singular/CM pair.
 
@@ -298,7 +307,7 @@ def build_R_degenerate(
         raise DegenerateInput("isogeny matrix must have a, c nonzero")
     if vanishing not in (1, 2):
         raise DegenerateInput("vanishing index must be 1 or 2")
-    return pair_h_polys(a, b, c, pi_sing, pi_cm, k_sing, k_cm)[vanishing - 1]
+    return pair_h_polys(a, b, c, pi_sing, pi_cm, k_sing, k_cm, ctx)[vanishing - 1]
 
 
 @dataclass(frozen=True)
@@ -316,19 +325,24 @@ class PairConfig:
     s: int
 
 
-def build_R_pair_product(pair1: PairConfig, pair2: PairConfig) -> MultiPoly:
+def build_R_pair_product(
+    pair1: PairConfig, pair2: PairConfig, ctx: PrecisionContext = None
+) -> MultiPoly:
     """Degree-4 combined relation r2*s2*H1^(1)*H2^(1) - r1*s1*H1^(2)*H2^(2)."""
     if pair1.r * pair1.s == 0 or pair2.r * pair2.s == 0:
         raise DegenerateInput(
             "combined product requires nonzero homology integers; "
             "use build_R_degenerate for the collapsed branch"
         )
-    (H1a, H2a), (H1b, H2b) = (
-        pair_h_polys(p.a, p.b, p.c, p.pi_sing, p.pi_cm, p.k_sing, p.k_cm) for p in (pair1, pair2)
-    )
-    lhs = (H1a * H2a).scaled(pair2.r * pair2.s)
-    rhs = (H1b * H2b).scaled(pair1.r * pair1.s)
-    return lhs - rhs
+    ctx = ctx or PrecisionContext()
+    with ctx.workprec():
+        (H1a, H2a), (H1b, H2b) = (
+            pair_h_polys(p.a, p.b, p.c, p.pi_sing, p.pi_cm, p.k_sing, p.k_cm, ctx)
+            for p in (pair1, pair2)
+        )
+        lhs = (H1a * H2a).scaled(pair2.r * pair2.s)
+        rhs = (H1b * H2b).scaled(pair1.r * pair1.s)
+        return lhs - rhs
 
 
 @dataclass(frozen=True)
@@ -348,22 +362,26 @@ class SecondWayConfig:
     s: int
 
 
-def second_way_h_polys(cfg: SecondWayConfig):
+def second_way_h_polys(cfg: SecondWayConfig, ctx: PrecisionContext = None):
     """The four H polynomials (bilinear in the two coordinate matrices)."""
-    h3 = matrix_polys(cfg.pi_target, cfg.k_target)
-    h2 = matrix_polys(cfg.pi_source, cfg.k_source)
-    bottom = h_entries(h3, cfg.a, cfg.b, cfg.c, h2, "bottom")
-    return bottom + h_entries(h3, cfg.a, cfg.b, cfg.c, h2, "top")
+    ctx = ctx or PrecisionContext()
+    with ctx.workprec():
+        h3 = matrix_polys(cfg.pi_target, cfg.k_target)
+        h2 = matrix_polys(cfg.pi_source, cfg.k_source)
+        bottom = h_entries(h3, cfg.a, cfg.b, cfg.c, h2, "bottom")
+        return bottom + h_entries(h3, cfg.a, cfg.b, cfg.c, h2, "top")
 
 
-def build_R_second_way(cfg: SecondWayConfig) -> MultiPoly:
+def build_R_second_way(cfg: SecondWayConfig, ctx: PrecisionContext = None) -> MultiPoly:
     """Degree-8 relation H1*H2*H3*H4 - p*q*r*s*det(X_target)^2*det(X_source)^2."""
-    H1, H2, H3, H4 = second_way_h_polys(cfg)
-    lhs = H1 * H2 * H3 * H4
-    dt = det_poly(cfg.k_target)
-    ds = det_poly(cfg.k_source)
-    rhs = (dt * dt * ds * ds).scaled(cfg.p * cfg.q * cfg.r * cfg.s)
-    return lhs - rhs
+    ctx = ctx or PrecisionContext()
+    with ctx.workprec():
+        H1, H2, H3, H4 = second_way_h_polys(cfg, ctx)
+        lhs = H1 * H2 * H3 * H4
+        dt = det_poly(cfg.k_target)
+        ds = det_poly(cfg.k_source)
+        rhs = (dt * dt * ds * ds).scaled(cfg.p * cfg.q * cfg.r * cfg.s)
+        return lhs - rhs
 
 
 @dataclass(frozen=True)

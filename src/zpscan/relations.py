@@ -472,30 +472,25 @@ def dispatch_case(inst: RelationInstance, ctx: PrecisionContext = None):
 def build_polynomial(witness: RelationWitness, ctx: PrecisionContext = None) -> MultiPoly:
     """Relation polynomial of a witness: the degenerate branch or the product law."""
     ctx = ctx or PrecisionContext()
-    with ctx.workprec():
-        return _build_polynomial(witness)
-
-
-def _build_polynomial(witness: RelationWitness) -> MultiPoly:
     cfg = witness.config
     which = witness.degenerate_flags[0] if witness.degenerate_flags else None
     if witness.way == "second":
         if which:
             # r collapses H1 (pairing with column 1), s collapses H2,
             # p collapses H3, q collapses H4
-            H1, H2, H3, H4 = polyrel.second_way_h_polys(cfg)
+            H1, H2, H3, H4 = polyrel.second_way_h_polys(cfg, ctx)
             return {"r": H1, "s": H2, "p": H3, "q": H4}[which]
-        return polyrel.build_R_second_way(cfg)
+        return polyrel.build_R_second_way(cfg, ctx)
     if witness.way not in ("first", "four"):
         raise DomainError(f"unknown witness way {witness.way!r}")
     if which:
         if witness.way == "four":
             cfg = cfg[0]  # four_coordinate puts the degenerate pair first
         return polyrel.build_R_degenerate(
-            1 if which == "r" else 2, cfg.a, cfg.b, cfg.c, cfg.pi_sing, cfg.pi_cm, cfg.k_sing, cfg.k_cm
+            1 if which == "r" else 2, cfg.a, cfg.b, cfg.c, cfg.pi_sing, cfg.pi_cm, cfg.k_sing, cfg.k_cm, ctx
         )
     if witness.way == "four":
-        return polyrel.build_R_pair_product(*cfg)
+        return polyrel.build_R_pair_product(*cfg, ctx)
     raise UnsupportedConfiguration(
         "a single non-degenerate singular/CM pair has no polynomial relation "
         "over the coefficient field (the product law carries a 2*pi*i); "

@@ -20,13 +20,14 @@ lists, constant term first.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .analytic import PrecisionContext, eisenstein, to_complex
+from .analytic import PrecisionContext, _eisenstein_sums, _j_float, to_complex
 from .errors import DegenerateInput, DomainError, NonConvergence
 from .exactpoly import (
     AlgebraicPointSet,
@@ -38,8 +39,7 @@ from .exactpoly import (
     resultant,
     squarefree,
 )
-from .isogeny import psi
-from .modular import ModularPolynomial, phi_eval_numeric
+from .modular import ModularPolynomial, sublattice_j_values
 from .periods import detect_cm, reduce_tau
 
 
@@ -314,11 +314,12 @@ def _interpolate_rational(samples):
 def soundness_residual(
     curve: CurveModel, pair: tuple, M: int, root, ctx: PrecisionContext = None
 ) -> mp.mpf:
-    """Numeric |Phi_M| at (j_a(t*), j_b(t*)) via the sublattice product formula.
+    """Scaled |Phi_M| at (j_a(t*), j_b(t*)) via the sublattice product formula.
 
-    Lifts the second coordinate value through the inverse-j map and evaluates
-    the degree-M product there; small residual means the isolated root really
-    sits on the stratum.
+    Lifts the second coordinate value y through the inverse-j map and returns
+    prod |x - j_sub| / max(1, |x|, |j_sub|) over the psi(M) sublattice
+    j-values of the lift, each factor scaled as it is formed; a small residual
+    means the isolated root really sits on the stratum.
     """
     ctx = ctx or PrecisionContext()
     i1, i2 = pair
@@ -328,17 +329,26 @@ def soundness_residual(
         tau = invert_j(yv, ctx)
         if tau is None:
             raise NonConvergence("could not lift the coordinate value through j")
-        val = phi_eval_numeric(M, x, tau, ctx)
-        scale = max(mp.mpf(1), abs(x), abs(yv)) ** max(1, psi(M))
-        return +(abs(val) / scale)
+        scale = max(mp.mpf(1), abs(x))
+        residual = mp.mpf(1)
+        for jv in sublattice_j_values(M, tau, ctx):
+            residual *= abs(x - jv) / max(scale, abs(jv))
+        return +residual
 
 
 def invert_j(value, ctx: PrecisionContext = None, max_newton: int = 80) -> mp.mpc | None:
     """Solve j(tau) = value in the fundamental domain by Newton iteration.
 
     Starts from the q-series inversion j ~ 1/q + 744 for large |value| and
-    from interior points near the corner values otherwise.  Advisory-quality:
-    returns None on failure rather than raising.
+    from interior points near the corner values otherwise.  The iteration
+    first runs in complex floats from these starts (_float_newton_j); the
+    point where its step falls below 1e-14 * |tau| starts the
+    working-precision iteration, which alone accepts a lift:
+    |j(tau) - value| < tol * max(1, |value|).  When the float run fails (a
+    value or iterate that is not finite, no convergence, Im(tau) <= 1/100)
+    or its point is not accepted, the working-precision iteration runs from
+    the starts themselves.  Advisory-quality: returns None when every start
+    fails rather than raising.
     """
     ctx = ctx or PrecisionContext()
     value = to_complex(value)
@@ -353,6 +363,9 @@ def invert_j(value, ctx: PrecisionContext = None, max_newton: int = 80) -> mp.mp
             mp.mpc(-mp.mpf(3) / 10, mp.mpf(11) / 10),
             mp.mpc(mp.mpf(2) / 5, mp.mpf(6) / 5),
         ]
+        guess = _float_newton_j(value, starts)
+        if guess is not None and guess not in starts:
+            starts.insert(0, guess)
         target_tol = ctx.tol * max(mp.mpf(1), abs(value))
         for tau in starts:
             try:
@@ -365,12 +378,49 @@ def invert_j(value, ctx: PrecisionContext = None, max_newton: int = 80) -> mp.mp
     return None
 
 
+#: the float iteration stops after a step below _FLOAT_STEP_TOL * |tau|, and fails
+#: after _FLOAT_NEWTON_STEPS steps (the corners rho and i converge linearly)
+_FLOAT_STEP_TOL = 1e-14
+_FLOAT_NEWTON_STEPS = 200
+
+
+def _float_newton_j(value, starts):
+    """A start for _newton_j from the damped Newton iteration in complex floats, or None.
+
+    Runs _newton_j's iteration on each start in turn, with j - value and
+    dj/dtau from _j_float, and returns the first point reached by a step
+    below _FLOAT_STEP_TOL * |tau|.  A start whose first step is that small
+    is returned as given: for large |value| the q-series start is closer
+    than a float can hold.
+    """
+    v = complex(value)
+    if not cmath.isfinite(v):
+        return None
+    for start in starts:
+        tau = complex(start)
+        try:
+            for step_no in range(_FLOAT_NEWTON_STEPS):
+                if not tau.imag > 0.01:
+                    break
+                fv, deriv = _j_float(tau, v)
+                step = fv / deriv
+                if not cmath.isfinite(step):
+                    break
+                if abs(step) <= _FLOAT_STEP_TOL * abs(tau):
+                    return start if step_no == 0 else mp.mpc(tau - step)
+                if abs(step) > tau.imag / 2:
+                    step *= tau.imag / (2 * abs(step))
+                tau -= step
+        except (ZeroDivisionError, OverflowError):
+            continue
+    return None
+
+
 def _newton_j(value, tau, ctx, max_newton, target_tol):
     for _ in range(max_newton):
         if not mp.im(tau) > mp.mpf(1) / 100:
             return None
-        e4 = eisenstein(4, tau, ctx)
-        e6 = eisenstein(6, tau, ctx)
+        e4, e6 = _eisenstein_sums((4, 6), tau, ctx)
         delta = (e4 ** 3 - e6 ** 2) / 1728
         if delta == 0:
             return None

@@ -10,7 +10,11 @@ Everything here deliberately avoids the code paths it checks:
   matrix;
 * sublattice counts come from raw triple enumeration;
 * polynomial roots come from Aberth iteration started on one circle, the
-  start ``analytic.polyroots`` falls back to.
+  start ``analytic.polyroots`` falls back to;
+* Eisenstein series come from a loop that takes the modulus of every term,
+  and inverse-j lifts from the working-precision Newton iteration alone, as
+  the library computed them before its float-predicted series lengths and
+  float Newton starts.
 """
 
 from __future__ import annotations
@@ -338,3 +342,42 @@ def mahler_height_mpmath(coeffs, bits: int = 512) -> mp.mpf:
         acc = mp.log(abs(mp.mpf(coeffs[-1])))
         acc += sum(mp.log(abs(r)) for r in roots if abs(r) > 1)
         return acc / (len(coeffs) - 1)
+
+
+def eisenstein_term_test(k: int, tau, ctx: PrecisionContext) -> mp.mpc:
+    """E_k(tau) summed until the first term whose modulus is below tol * 2**-16."""
+    coef = {2: -24, 4: 240, 6: -504}[k]
+    with ctx.workprec():
+        tau = mp.mpc(tau)
+        q = mp.exp(ctx.two_pi_i * tau)
+        cutoff = ctx.tol * mp.mpf(2) ** (-16)
+        total, qn, n = mp.mpc(1), mp.mpc(1), 0
+        while True:
+            n += 1
+            qn *= q
+            term = coef * sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0) * qn
+            total += term
+            if abs(term) < cutoff:
+                return +total
+
+
+def invert_j_mpmath(value, ctx: PrecisionContext, max_newton: int = 80):
+    """scanner.invert_j without its float phase: working-precision Newton from each start."""
+    from zpscan.periods import reduce_tau
+    from zpscan.scanner import _newton_j
+
+    value = mp.mpc(value)
+    with ctx.workprec():
+        starts = []
+        if abs(value) > 2500:
+            starts.append(mp.log(1 / (value - 744)) / ctx.two_pi_i)
+        starts += [
+            mp.mpc(mp.mpf(1) / 10, mp.mpf(21) / 20),
+            mp.mpc(-mp.mpf(3) / 10, mp.mpf(11) / 10),
+            mp.mpc(mp.mpf(2) / 5, mp.mpf(6) / 5),
+        ]
+        for tau in starts:
+            root = _newton_j(value, tau, ctx, max_newton, ctx.tol * max(mp.mpf(1), abs(value)))
+            if root is not None:
+                return +reduce_tau(root, ctx)[0]
+    return None

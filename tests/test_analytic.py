@@ -3,10 +3,25 @@ import random
 import mpmath as mp
 import pytest
 
-from zpscan.analytic import PrecisionContext, _float_start, agm, eisenstein, j_invariant, polyroots
+from zpscan.analytic import (
+    PrecisionContext,
+    _eisenstein_sums,
+    _float_start,
+    _j_float,
+    agm,
+    eisenstein,
+    j_invariant,
+    polyroots,
+)
 from zpscan.errors import DegenerateInput, DomainError, NonConvergence
 
-from oracles import expand_from_roots, lemniscate_constant, log_delta_derivative, polyroots_circle
+from oracles import (
+    eisenstein_term_test,
+    expand_from_roots,
+    lemniscate_constant,
+    log_delta_derivative,
+    polyroots_circle,
+)
 
 
 def test_precision_context_defaults():
@@ -108,6 +123,60 @@ def test_eisenstein_max_terms_budget():
     tight = PrecisionContext(bits=256, max_terms=5)
     with pytest.raises(NonConvergence):
         eisenstein(4, mp.mpc(0, mp.mpf(1) / 50), tight)
+
+
+# (Re num, Re den, Im num, Im den): Im(tau) from 0.87, just inside the
+# fundamental domain, to 40, where E4^3 - E6^2 cancels at 256 bits
+SERIES_TAUS = [
+    (1, 10, 87, 100), (-9, 20, 9, 10), (3, 10, 1, 1), (0, 1, 3, 2), (1, 4, 3, 1),
+    (-2, 5, 15, 2), (1, 2, 12, 1), (1, 10, 20, 1), (0, 1, 40, 1),
+]
+
+
+def _series_tau(re_num, re_den, im_num, im_den):
+    return mp.mpc(mp.mpf(re_num) / re_den, mp.mpf(im_num) / im_den)
+
+
+def test_eisenstein_matches_term_test_oracle():
+    # the series length predicted from Im(tau) is the one a per-term modulus test finds
+    for bits in (256, 512):
+        ctx = PrecisionContext(bits=bits)
+        with ctx.workprec():
+            taus = [_series_tau(*t) for t in SERIES_TAUS]
+        for tau in taus:
+            for k in (2, 4, 6):
+                assert eisenstein(k, tau, ctx) == eisenstein_term_test(k, tau, ctx)
+
+
+def test_joint_kernel_equals_eisenstein(ctx):
+    with ctx.workprec():
+        for t in SERIES_TAUS:
+            tau = _series_tau(*t)
+            e4, e6 = _eisenstein_sums((4, 6), tau, ctx)
+            for k, got in ((4, e4), (6, e6)):
+                want = eisenstein(k, tau, ctx)
+                assert abs(got - want) <= ctx.tol * max(1, abs(want))
+
+
+def test_j_float_matches_j_invariant():
+    # Delta as a q-product keeps the float j accurate at Im(tau) = 20 and 40,
+    # where E4^3 - E6^2 in floats cancels completely (the reference needs
+    # 1024 bits there); j - value is accurate relative to itself on both
+    # sides of the corner formulas, near rho and near i too
+    ctx = PrecisionContext(bits=1024)
+    with ctx.workprec():
+        taus = [_series_tau(*t) for t in SERIES_TAUS]
+        taus += [mp.mpc(-0.5, mp.sqrt(3) / 2) + mp.mpc(3, 4) * 1e-4, mp.mpc(0, 1) + mp.mpc(2, -1) * 1e-4]
+        for tau in taus:
+            tau = mp.mpc(complex(tau))  # the reference at the float point itself
+            e4, e6 = eisenstein(4, tau, ctx), eisenstein(6, tau, ctx)
+            delta = (e4 ** 3 - e6 ** 2) / 1728
+            jval = e4 ** 3 / delta
+            want_deriv = -ctx.two_pi_i * e4 ** 2 * e6 / delta
+            for value in (0, 1, 1727, 1728, 10 ** 6):
+                got, deriv = _j_float(complex(tau), complex(value))
+                assert abs(got - (jval - value)) <= 1e-12 * abs(jval - value)
+                assert abs(deriv - want_deriv) <= 1e-12 * abs(want_deriv)
 
 
 def test_j_special_values(ctx):

@@ -11,7 +11,7 @@ from zpscan.isogeny import cyclic_sublattices, make_witness
 from zpscan.periods import Lattice, reduce_tau
 from zpscan.serialize import fmt_real, parse_complex
 
-from conftest import validate_against
+from conftest import REPO_ROOT, validate_against
 
 
 def run_cli(capsys, *argv):
@@ -274,3 +274,41 @@ def test_precision_env_override(capsys, monkeypatch):
     code, doc = run_json(capsys, "periods", "--tau", "0,1", "--precision", "320")
     assert code == 0
     assert doc["meta"]["precision_bits"] == 320
+
+
+def _readme_scan(tmp_path):
+    """The README's example curve file and its scan command, with the paths under tmp_path."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    curve = text.split("### Curve files", 1)[1].split("```\n", 2)[1]
+    assert curve.startswith("n = 3\n")
+    (tmp_path / "curve.txt").write_text(curve, encoding="utf-8")
+    (command,) = [line for line in text.splitlines() if line.startswith("zpscan scan ")]
+    argv = command.split()[1:]
+    argv[argv.index("curve.txt")] = str(tmp_path / "curve.txt")
+    argv[argv.index("report.json")] = str(tmp_path / "report.json")
+    return argv
+
+
+def test_readme_scan_command_exits_zero(tmp_path):
+    # at mpmath's default 53 ambient bits, as a fresh CLI process runs it
+    assert mp.mp.prec == 53
+    argv = _readme_scan(tmp_path)
+    assert argv[argv.index("--levels") + 1] == "2..5"
+    assert main(argv + ["--jobs", "1"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    # the README's double point: t = 1 on two distinct level-2 strata
+    doubles = [(r["pair1"], r["pair2"], r["t_minpoly"]) for r in doc["report"]["rows"] if r["pair2"]]
+    assert ([1, 2, 2], [1, 3, 2], [-1, 1]) in doubles
+    assert mp.mpf(doc["worst_soundness_residual"]) < PrecisionContext().sqrt_tol
+
+
+def test_numeric_double_checks_find_nothing_on_the_readme_curve(tmp_path):
+    # level 6 has no exact table, so the roots of the level-2 strata are
+    # tested against the other pairs numerically; none lies on a level-6 stratum
+    argv = _readme_scan(tmp_path)
+    argv[argv.index("--levels") + 1] = "2,6"
+    assert main(argv + ["--jobs", "1"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert doc["exact_levels"] == [2] and doc["numeric_levels"] == [6]
+    assert doc["report"]["rows"]
+    assert not any(r["numeric_only"] for r in doc["report"]["rows"])

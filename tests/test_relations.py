@@ -9,6 +9,9 @@ from zpscan.isogeny import CyclicSublattice, IsogenyWitness
 from zpscan.periods import StructuredPeriod
 from zpscan.polyrel import (
     IdealI0,
+    build_R_degenerate,
+    build_R_pair_product,
+    build_R_second_way,
     det_poly,
     evaluate,
     h_entries,
@@ -76,20 +79,18 @@ def test_h_entries_cofactor_oracle(ctx):
         assert bottom[0].is_zero() and (bottom[1] - det_poly(1)).is_zero()
 
 
-def _witness_h_polys(w):
+def _witness_h_polys(w, ctx):
     """The H polynomials of a witness, in the order of witness.H."""
     if w.way == "second":
-        return second_way_h_polys(w.config)
+        return second_way_h_polys(w.config, ctx)
     configs = w.config if w.way == "four" else (w.config,)
     return sum(
-        (pair_h_polys(c.a, c.b, c.c, c.pi_sing, c.pi_cm, c.k_sing, c.k_cm) for c in configs), ()
+        (pair_h_polys(c.a, c.b, c.c, c.pi_sing, c.pi_cm, c.k_sing, c.k_cm, ctx) for c in configs), ()
     )
 
 
-def test_h_polynomials_match_witness_entries(ctx):
-    # the scalar identity and its polynomial come from one formula: evaluated
-    # at the witness assignment, the H polynomials (built at working
-    # precision, as build_polynomial does) give the witness's H entries
+def _synthetic_witnesses(ctx):
+    """Six seeds of each synthetic way and degenerate branch, half with random SL2 gauges."""
     makers = [
         lambda s, g: synth_first_way(s, ctx, pi_overrides=g),
         lambda s, g: synth_first_way(s, ctx, force_r_zero=True, pi_overrides=g),
@@ -101,24 +102,58 @@ def test_h_polynomials_match_witness_entries(ctx):
         lambda s, g: synth_four_coordinate(s, ctx, degenerate_pair2=True, pi_overrides=g),
         lambda s, g: synth_four_coordinate(s, ctx, shared_cm=True, pi_overrides=g),
     ]
-    flags = set()
     for make in makers:
         for seed in range(6):
-            gauges = random_sl2_gauges(seed, [1, 2, 3, 4]) if seed % 2 else None
-            w = make(seed, gauges)
-            flags.add((w.way, w.degenerate_flags[:1]))
-            with ctx.workprec():
-                polys = _witness_h_polys(w)
-            assert len(polys) == len(w.H)
-            for poly, hval in zip(polys, w.H):
-                gap = abs(evaluate(poly, w.assignment, ctx) - hval)
-                assert gap <= ctx.tol * max(1, abs(hval))
+            yield make(seed, random_sl2_gauges(seed, [1, 2, 3, 4]) if seed % 2 else None)
+
+
+def test_h_polynomials_match_witness_entries(ctx):
+    # the scalar identity and its polynomial come from one formula: evaluated
+    # at the witness assignment, the H polynomials give the witness's H
+    # entries, though built at mpmath's default 53 ambient bits
+    assert mp.mp.prec == 53
+    flags = set()
+    for w in _synthetic_witnesses(ctx):
+        flags.add((w.way, w.degenerate_flags[:1]))
+        polys = _witness_h_polys(w, ctx)
+        assert len(polys) == len(w.H)
+        for poly, hval in zip(polys, w.H):
+            gap = abs(evaluate(poly, w.assignment, ctx) - hval)
+            assert gap <= ctx.tol * max(1, abs(hval))
     # every way and every degenerate branch was reached
     assert flags >= {
         ("first", ()), ("first", ("r",)), ("first", ("s",)),
         ("second", ()), ("second", ("q",)), ("second", ("r",)),
         ("four", ()), ("four", ("r",)),
     }
+
+
+def test_relation_polynomials_ignore_ambient_precision(ctx):
+    # the builders multiply at ctx's working precision: called at mpmath's
+    # default 53 bits they give the same polynomials as at 1024 ambient bits
+    assert mp.mp.prec == 53
+    builders = {}
+    for w in _synthetic_witnesses(ctx):
+        which = w.degenerate_flags[:1]
+        if w.way == "second" and not which:
+            builders[id(w)] = ("second", lambda w=w: build_R_second_way(w.config, ctx))
+        elif w.way == "four" and not which:
+            builders[id(w)] = ("four", lambda w=w: build_R_pair_product(*w.config, ctx))
+        elif w.way == "first" and which:
+            c = w.config
+            vanishing = 1 if which == ("r",) else 2
+            builders[id(w)] = (
+                "degenerate",
+                lambda c=c, v=vanishing: build_R_degenerate(
+                    v, c.a, c.b, c.c, c.pi_sing, c.pi_cm, c.k_sing, c.k_cm, ctx
+                ),
+            )
+    assert {kind for kind, _ in builders.values()} == {"second", "four", "degenerate"}
+    for _, build in builders.values():
+        low = build()
+        with mp.workprec(1024):
+            high = build()
+        assert low.terms == high.terms
 
 
 def test_genuine_cm_pair_square_lattice(ctx):

@@ -3,7 +3,8 @@ import random
 import mpmath as mp
 import pytest
 
-from zpscan.analytic import j_invariant
+from zpscan import scanner
+from zpscan.analytic import PrecisionContext, j_invariant
 from zpscan.errors import DegenerateInput, DomainError
 from zpscan.exactpoly import RatFunc, gcd, mahler_height, squarefree
 from zpscan.modular import phi_recover_exact, phi_x_minus_y
@@ -21,7 +22,7 @@ from zpscan.scanner import (
     unlikely_points,
 )
 
-from oracles import mahler_height_mpmath
+from oracles import invert_j_mpmath, mahler_height_mpmath
 
 LINE_CURVE = CurveModel(n=2, maps=(RatFunc.from_coeffs([0, 1]), RatFunc.from_coeffs([1, 1])))
 
@@ -168,6 +169,48 @@ def test_invert_j_roundtrip(ctx):
             assert lift is not None
             back = j_invariant(lift, ctx)
             assert abs(back - val) < ctx.sqrt_tol * max(1, abs(val))
+
+
+def _recording_float_newton(monkeypatch):
+    results = []
+    real = scanner._float_newton_j
+
+    def record(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(scanner, "_float_newton_j", record)
+    return results
+
+
+def test_invert_j_from_float_start(monkeypatch):
+    # the corner values (where j - value has a triple and a double root), a
+    # CM value, a negative one, a complex one, and a large one: the float
+    # phase gives the start and the lift passes the working-precision test;
+    # 10^60 runs at 512 bits because E4^3 - E6^2 keeps only 29 of 86 digits
+    # there at 256
+    results = _recording_float_newton(monkeypatch)
+    values = [(256, 0), (256, 1728), (256, 287496), (256, -12288000), (256, (3, -4)), (512, 10 ** 60)]
+    for bits, value in values:
+        ctx = PrecisionContext(bits=bits)
+        with ctx.workprec():
+            value = mp.mpc(*value) if isinstance(value, tuple) else mp.mpc(value)
+            tau = invert_j(value, ctx)
+            assert results[-1] is not None
+            assert abs(j_invariant(tau, ctx) - value) < ctx.tol * max(1, abs(value))
+
+
+def test_invert_j_float_overflow_takes_mpmath_path(monkeypatch):
+    # 10^400 has no float image: the lift is the working-precision iteration's
+    # own, bit for bit (3072 bits keep E4^3 - E6^2 = 1728 q from cancelling)
+    results = _recording_float_newton(monkeypatch)
+    ctx = PrecisionContext(bits=3072)
+    with ctx.workprec():
+        value = mp.mpc(10) ** 400
+        tau = invert_j(value, ctx)
+        assert results == [None]
+        assert tau == invert_j_mpmath(value, ctx)
+        assert abs(j_invariant(tau, ctx) - value) < ctx.tol * abs(value)
 
 
 def test_invert_j_detects_cm(ctx):
