@@ -244,7 +244,7 @@ def _witness_payload(witness, ctx, attempts=5, seed=0):
     except ZpError as exc:
         payload["polynomial"] = {"unavailable": str(exc)}
         return payload, witness.residual
-    vanish = abs(polyrel.evaluate(R, witness.assignment, ctx))
+    vanish, relative = _vanishing(R, witness.assignment, ctx)
     payload["polynomial"] = {
         "degree": R.degree(),
         "homogeneous": R.is_homogeneous(),
@@ -252,7 +252,14 @@ def _witness_payload(witness, ctx, attempts=5, seed=0):
         "vanishing_residual": fmt_real(vanish),
         "nonmembership": _nonmembership(R, witness, attempts, ctx, seed),
     }
-    return payload, max(witness.residual, vanish / max(1, R.coeff_norm()))
+    return payload, max(witness.residual, relative)
+
+
+def _vanishing(R, assignment, ctx):
+    """|R| at the assignment, and that over max(1, largest |coefficient|), at working precision."""
+    with ctx.workprec():
+        vanish = abs(polyrel.evaluate(R, assignment, ctx))
+        return vanish, vanish / max(1, R.coeff_norm())
 
 
 def _nonmembership(R, witness, attempts, ctx, seed):
@@ -412,6 +419,9 @@ def _genuine_second_way_cli(args, ctx):
 
 def cmd_check_relation(args) -> int:
     ctx = _context(args)
+    if args.attempts < 1:
+        sys.stderr.write(f"error: --attempts must be at least 1, got {args.attempts}\n")
+        return EXIT_USAGE
     with open(args.instance, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     configs = tuple(_config_from(c) for c in data["configs"])
@@ -431,7 +441,7 @@ def cmd_check_relation(args) -> int:
         assignment=assignment,
     )
     R = build_polynomial(witness, ctx)
-    vanish = abs(polyrel.evaluate(R, assignment, ctx))
+    vanish, relative = _vanishing(R, assignment, ctx)
     nonmember = _nonmembership(R, witness, args.attempts, ctx, args.seed or 0)
     payload = {
         "meta": meta_block(ctx, args.seed),
@@ -441,7 +451,7 @@ def cmd_check_relation(args) -> int:
         "nonmembership": nonmember,
     }
     _emit(args, payload)
-    ok = vanish < ctx.sqrt_tol * max(1, R.coeff_norm()) and nonmember != "inconclusive"
+    ok = relative < ctx.sqrt_tol and nonmember != "inconclusive"
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

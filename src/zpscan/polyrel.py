@@ -3,7 +3,11 @@
 Variables are (i, j, k) triples: matrix position (i, j) in {1,2}^2 of the
 value matrix of coordinate k.  Coefficients are exact (int / Fraction) where
 the inputs are exact, and mpmath mpc otherwise; the two kinds mix by coercing
-to mpc.
+to mpc, and two mpc are added or multiplied as they are.  MultiPoly.evaluate
+coerces each variable's value once per evaluation and computes each power
+once; its operation order is fixed (each term c * v1**e1 * v2**e2 * ...
+multiplied left to right, the terms summed in insertion order), so a value is
+the same bits however often a variable recurs.
 
 Every H-form is h_entries: a cofactor row of one coordinate's matrix m,
 pushed through the triangular isogeny matrix [[a, 0], [b, c]] and paired with
@@ -52,14 +56,24 @@ def _to_mpc(c) -> mp.mpc:
     return to_complex(c)
 
 
+def _is_zero(c) -> bool:
+    # by truthiness: `mpc == 0` would convert the 0 first
+    return not (c if _is_exact(c) else _to_mpc(c))
+
+
+def _same_kind(x, y) -> bool:
+    """Both mpc or both exact: then + and * need no coercion."""
+    return (type(x) is mp.mpc and type(y) is mp.mpc) or (_is_exact(x) and _is_exact(y))
+
+
 def _cadd(x, y):
-    if _is_exact(x) and _is_exact(y):
+    if _same_kind(x, y):
         return x + y
     return _to_mpc(x) + _to_mpc(y)
 
 
 def _cmul(x, y):
-    if _is_exact(x) and _is_exact(y):
+    if _same_kind(x, y):
         return x * y
     return _to_mpc(x) * _to_mpc(y)
 
@@ -78,11 +92,7 @@ class MultiPoly:
     def _accumulate(self, mono, c):
         cur = self.terms.get(mono)
         new = c if cur is None else _cadd(cur, c)
-        if _is_exact(new):
-            if new == 0:
-                self.terms.pop(mono, None)
-                return
-        elif new == 0:
+        if not new:
             self.terms.pop(mono, None)
             return
         self.terms[mono] = new
@@ -145,7 +155,7 @@ class MultiPoly:
 
     def scaled(self, c) -> "MultiPoly":
         out = MultiPoly()
-        if (c == 0) if _is_exact(c) else (_to_mpc(c) == 0):
+        if _is_zero(c):
             return out
         out.terms = {m: _cmul(cc, c) for m, cc in self.terms.items()}
         return out
@@ -181,7 +191,13 @@ class MultiPoly:
         return max(abs(_to_mpc(c)) for c in self.terms.values())
 
     def evaluate(self, assignment: dict, exact: bool = None):
-        """Value at assignment {(i,j,k): value}; exact when inputs permit it."""
+        """Value at assignment {(i,j,k): value}; exact when inputs permit it.
+
+        Each variable's value is coerced (to mpc on the numeric path) once,
+        and each power value**e is computed once, on its first use.  Each
+        term is c * v1**e1 * v2**e2 * ... multiplied left to right, and the
+        terms are summed in insertion order.
+        """
         needed = self.variables()
         missing = [v for v in needed if v not in assignment]
         if missing:
@@ -190,12 +206,17 @@ class MultiPoly:
             exact = self.is_exact() and all(
                 _is_exact(assignment[v]) for v in needed
             )
+        values = assignment if exact else {v: _to_mpc(assignment[v]) for v in needed}
         total = Fraction(0) if exact else mp.mpc(0)
+        powers = {}
         for mono, c in self.terms.items():
             term = c if exact else _to_mpc(c)
-            for var, e in mono:
-                val = assignment[var]
-                term = term * (val ** e if exact else _to_mpc(val) ** e)
+            for factor in mono:
+                power = powers.get(factor)
+                if power is None:
+                    var, e = factor
+                    power = powers[factor] = values[var] ** e
+                term = term * power
             total = total + term
         return total
 
@@ -301,9 +322,7 @@ def build_R_degenerate(
     second column).  Monomial support is contained in
     {X[i,1,k_sing] * X[m,col,k_cm]}.
     """
-    if (a == 0 if _is_exact(a) else _to_mpc(a) == 0) or (
-        c == 0 if _is_exact(c) else _to_mpc(c) == 0
-    ):
+    if _is_zero(a) or _is_zero(c):
         raise DegenerateInput("isogeny matrix must have a, c nonzero")
     if vanishing not in (1, 2):
         raise DegenerateInput("vanishing index must be 1 or 2")
@@ -409,6 +428,8 @@ def not_in_I0(
     Inconclusive when the budget is exhausted; that is not a membership claim.
     """
     ctx = ctx or PrecisionContext()
+    if attempts < 1:
+        raise DomainError(f"attempts must be at least 1, got {attempts}")
     if R.is_zero():
         raise DegenerateInput("the zero polynomial is in every ideal")
     rng = random.Random(seed)

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_rational
 
 from .analytic import PrecisionContext, to_complex
 from .errors import (
@@ -519,17 +520,27 @@ def _rand_fraction(rng: random.Random, lo=-8, hi=8, den=8) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
+def _mpc_of(re: Fraction, im: Fraction) -> mp.mpc:
+    """re + i*im, each part correctly rounded once (the value of mpf(n)/d)."""
+    prec, rnd = mp.mp._prec_rounding
+    return mp.make_mpc(
+        (from_rational(re.numerator, re.denominator, prec, rnd),
+         from_rational(im.numerator, im.denominator, prec, rnd))
+    )
+
+
 def _rand_complex(rng: random.Random, lo=-8, hi=8, den=8) -> mp.mpc:
     re = _rand_fraction(rng, lo, hi, den)
     im = _rand_fraction(rng, lo, hi, den)
-    return mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
+    return _mpc_of(re, im)
 
 
 def _rand_nonzero_complex(rng: random.Random) -> mp.mpc:
+    """A draw of _rand_complex with |z| > 1/4, decided on the exact parts."""
     while True:
-        z = _rand_complex(rng)
-        if abs(z) > mp.mpf(1) / 4:
-            return z
+        re, im = _rand_fraction(rng), _rand_fraction(rng)
+        if re * re + im * im > Fraction(1, 16):
+            return _mpc_of(re, im)
 
 
 def _rand_det1(rng: random.Random) -> mp.matrix:

@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -26,6 +27,12 @@ def random_tau(rng: random.Random, bits: int = 256) -> mp.mpc:
         re = mp.mpf(rng.randint(-500, 500)) / 1000
         im = mp.mpf(rng.randint(500, 2000)) / 1000
         return mp.mpc(re, im)
+
+
+def fraction_point(poly, seed: int) -> dict:
+    """Seeded rational values, numerators in [-9, 9] over 1..9, for the variables of a MultiPoly."""
+    rng = random.Random(seed)
+    return {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for v in sorted(poly.variables())}
 
 
 def load_schema(name: str) -> dict:

@@ -14,7 +14,11 @@ Everything here deliberately avoids the code paths it checks:
 * Eisenstein series come from a loop that takes the modulus of every term,
   and inverse-j lifts from the working-precision Newton iteration alone, as
   the library computed them before its float-predicted series lengths and
-  float Newton starts.
+  float Newton starts;
+* relation polynomials are evaluated by a loop that coerces every
+  coefficient and every occurrence of a variable anew, and the synthetic
+  draws divide mpf(n) by d and test |z| > 1/4 on the rounded mpc, as the
+  library did before it coerced each value once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import gcd as int_gcd
 
 import mpmath as mp
 
-from zpscan.analytic import PrecisionContext, eisenstein
+from zpscan.analytic import PrecisionContext, eisenstein, to_complex
 
 
 def lemniscate_constant(bits: int = 256) -> mp.mpf:
@@ -381,3 +385,43 @@ def invert_j_mpmath(value, ctx: PrecisionContext, max_newton: int = 80):
             if root is not None:
                 return +reduce_tau(root, ctx)[0]
     return None
+
+
+def _coerce_mpc(c) -> mp.mpc:
+    if isinstance(c, Fraction):
+        return mp.mpc(c.numerator) / c.denominator
+    return to_complex(c)
+
+
+def multipoly_evaluate_naive(poly, assignment: dict, exact: bool = None):
+    """MultiPoly.evaluate coercing every coefficient and every variable occurrence anew."""
+    def is_exact(c):
+        return isinstance(c, (int, Fraction))
+
+    if exact is None:
+        exact = all(is_exact(c) for c in poly.terms.values()) and all(
+            is_exact(assignment[v]) for mono in poly.terms for v, _ in mono
+        )
+    total = Fraction(0) if exact else mp.mpc(0)
+    for mono, c in poly.terms.items():
+        term = c if exact else _coerce_mpc(c)
+        for var, e in mono:
+            val = assignment[var]
+            term = term * (val ** e if exact else _coerce_mpc(val) ** e)
+        total = total + term
+    return total
+
+
+def rand_complex_mpf(rng, lo=-8, hi=8, den=8) -> mp.mpc:
+    """A synthetic complex draw with each part formed as mpf(n) / d."""
+    re = Fraction(rng.randint(lo, hi), rng.randint(1, den))
+    im = Fraction(rng.randint(lo, hi), rng.randint(1, den))
+    return mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
+
+
+def rand_nonzero_complex_abs(rng) -> mp.mpc:
+    """rand_complex_mpf redrawn until the rounded |z| exceeds 1/4."""
+    while True:
+        z = rand_complex_mpf(rng)
+        if abs(z) > mp.mpf(1) / 4:
+            return z

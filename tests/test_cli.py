@@ -3,12 +3,13 @@ import json
 import mpmath as mp
 import pytest
 
-from zpscan import cli
+from zpscan import cli, polyrel
 from zpscan.analytic import PrecisionContext
 from zpscan.cli import main
 from zpscan.errors import NonConvergence
 from zpscan.isogeny import cyclic_sublattices, make_witness
 from zpscan.periods import Lattice, reduce_tau
+from zpscan.relations import build_polynomial, synth_second_way
 from zpscan.serialize import fmt_real, parse_complex
 
 from conftest import REPO_ROOT, validate_against
@@ -231,6 +232,44 @@ def test_check_relation_detects_tampering(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     code, doc = run_json(capsys, "check-relation", "--instance", str(bad))
     assert code == 2  # vanishing residual now fails the threshold
+
+
+def test_vanishing_residual_at_working_precision(tmp_path, capsys):
+    # the modulus of the polynomial's value is taken at working precision:
+    # its 32 printed digits are the 256-bit value's, and both commands print
+    # the same bytes at 53 and at 1024 ambient bits
+    ctx = PrecisionContext(bits=256)
+    w = synth_second_way(3, ctx)
+    R = build_polynomial(w, ctx)
+    with ctx.workprec():
+        want = fmt_real(abs(polyrel.evaluate(R, w.assignment, ctx)))
+    assert want == "5.8974905897926451387842331292289e-79"
+    inst = tmp_path / "inst.json"
+    assert mp.mp.prec == 53
+    code, doc = run_json(
+        capsys, "relations", "second-way", "--synthetic", "--seed", "3", "--emit-instance", str(inst)
+    )
+    assert code == 0
+    assert doc["witness"]["polynomial"]["vanishing_residual"] == want
+    for argv in (
+        ("relations", "second-way", "--synthetic", "--seed", "3"),
+        ("check-relation", "--instance", str(inst)),
+    ):
+        low = run_cli(capsys, *argv)
+        with mp.workprec(1024):
+            high = run_cli(capsys, *argv)
+        assert low == high and low[0] == 0
+
+
+@pytest.mark.parametrize("attempts", ["0", "-2"])
+def test_check_relation_rejects_attempts_below_one(tmp_path, capsys, attempts):
+    inst = tmp_path / "inst.json"
+    code, _ = run_json(capsys, "relations", "n4", "--seed", "8", "--emit-instance", str(inst))
+    assert code == 0
+    code = main(["check-relation", "--instance", str(inst), "--attempts", attempts])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--attempts" in captured.err and captured.out == ""
 
 
 def test_scan_jobs_determinism(tmp_path, capsys):

@@ -3,15 +3,22 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from zpscan.errors import DegenerateInput, Inconclusive, MissingAssignment
+from zpscan import polyrel
+from zpscan.errors import DegenerateInput, DomainError, Inconclusive, MissingAssignment
 from zpscan.polyrel import (
     IdealI0,
     MultiPoly,
+    SecondWayConfig,
     build_R_degenerate,
+    build_R_second_way,
     det_poly,
     evaluate,
     not_in_I0,
 )
+from zpscan.relations import build_polynomial, synth_second_way
+
+from conftest import fraction_point
+from oracles import multipoly_evaluate_naive
 
 
 def test_multipoly_arithmetic():
@@ -124,3 +131,51 @@ def test_homogeneity_structural():
     assert not (x * y + x).is_homogeneous()
     assert MultiPoly.zero().is_homogeneous()
     assert (x * y * x).degree() == 3
+
+
+def test_not_in_I0_rejects_attempts_below_one(ctx):
+    R = det_poly(3)
+    ideal = IdealI0(smooth_coords=frozenset([3]))
+    for attempts in (0, -2):
+        with pytest.raises(DomainError, match="attempts"):
+            not_in_I0(R, ideal, attempts=attempts, ctx=ctx)
+
+
+def test_evaluate_coerces_each_value_once(ctx, monkeypatch):
+    # a degree-8 second-way relation: 50 terms over 8 variables, which occur
+    # 268 times; a per-occurrence loop would convert 50 + 268 values
+    R = build_polynomial(synth_second_way(0, ctx), ctx)
+    assert (R.degree(), len(R.terms), len(R.variables())) == (8, 50, 8)
+    assert sum(len(mono) for mono in R.terms) == 268
+    point = fraction_point(R, 1)
+    calls = []
+    to_mpc = polyrel._to_mpc
+
+    def counting(c):
+        calls.append(c)
+        return to_mpc(c)
+
+    monkeypatch.setattr(polyrel, "_to_mpc", counting)
+    with ctx.workprec():
+        R.evaluate(point)
+    assert len(calls) <= len(R.variables()) + len(R.terms)
+
+
+def test_exact_evaluate_matches_naive_oracle():
+    # Fraction coefficients and inputs stay on the exact path
+    pi_s = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+    pi_c = [[Fraction(1), Fraction(-1, 3)], [Fraction(2), Fraction(3)]]
+    cfg = SecondWayConfig(
+        Fraction(3, 2), Fraction(-1, 5), Fraction(2), pi_s, pi_c, 2, 3, 1, 2, 3, 5
+    )
+    polys = [
+        build_R_degenerate(1, Fraction(3), Fraction(1), Fraction(2), pi_s, pi_c),
+        build_R_second_way(cfg),
+    ]
+    for R in polys:
+        assert R.is_exact()
+        for seed in range(5):
+            point = fraction_point(R, seed)
+            got = R.evaluate(point)
+            assert type(got) is Fraction and got == multipoly_evaluate_naive(R, point)
+            assert evaluate(R, point) == got

@@ -4,11 +4,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from zpscan import polyrel, relations
+from zpscan.analytic import PrecisionContext
 from zpscan.errors import DomainError, StructureViolation, UnsupportedConfiguration
 from zpscan.isogeny import CyclicSublattice, IsogenyWitness
 from zpscan.periods import StructuredPeriod
 from zpscan.polyrel import (
     IdealI0,
+    MultiPoly,
     build_R_degenerate,
     build_R_pair_product,
     build_R_second_way,
@@ -34,6 +37,9 @@ from zpscan.relations import (
     synth_four_coordinate,
     synth_second_way,
 )
+
+from conftest import fraction_point
+from oracles import multipoly_evaluate_naive, rand_complex_mpf, rand_nonzero_complex_abs
 
 
 def test_h_entries_formulas(ctx):
@@ -126,6 +132,89 @@ def test_h_polynomials_match_witness_entries(ctx):
         ("second", ()), ("second", ("q",)), ("second", ("r",)),
         ("four", ()), ("four", ("r",)),
     }
+
+
+def _relation_polynomial(w, ctx):
+    """build_polynomial, or None for a single non-degenerate pair, which has none."""
+    try:
+        return build_polynomial(w, ctx)
+    except UnsupportedConfiguration:
+        assert w.way == "first" and not w.degenerate_flags
+        return None
+
+
+def _witness_polys(w, ctx):
+    """The H polynomials of a witness, then its relation polynomial where it has one."""
+    R = _relation_polynomial(w, ctx)
+    return list(_witness_h_polys(w, ctx)) + ([] if R is None else [R])
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_evaluate_matches_naive_oracle(bits):
+    # coercing each value once and each power once keeps every bit of the
+    # per-occurrence loop, at the witness assignment and at rational points
+    ctx = PrecisionContext(bits=bits)
+    for n, w in enumerate(_synthetic_witnesses(ctx)):
+        for R in _witness_polys(w, ctx):
+            point = fraction_point(R, n)
+            with ctx.workprec():
+                for assignment in (w.assignment, point):
+                    got = R.evaluate(assignment)
+                    assert repr(got) == repr(multipoly_evaluate_naive(R, assignment))
+                    assert repr(evaluate(R, assignment, ctx)) == repr(+got)
+
+
+class _Scripted:
+    """A stand-in for random.Random whose randint returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randint(self, lo, hi):
+        v = self.values.pop(0)
+        assert lo <= v <= hi
+        return v
+
+
+def test_draws_match_oracle(ctx):
+    with ctx.workprec():
+        for seed in range(500):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert repr(relations._rand_complex(fast)) == repr(rand_complex_mpf(slow))
+                assert repr(relations._rand_nonzero_complex(fast)) == repr(rand_nonzero_complex_abs(slow))
+            assert fast.random() == slow.random()
+        # |z| = 1/4 exactly is rejected by both, which then draw z = 3
+        for draw in ((2, 8, 0, 1), (-1, 4, 0, 5), (0, 3, 2, 8), (0, 1, -1, 4)):
+            for fn in (relations._rand_nonzero_complex, rand_nonzero_complex_abs):
+                rng = _Scripted(draw + (3, 1, 0, 1))
+                assert fn(rng) == 3 and not rng.values
+
+
+def _dump(w, ctx):
+    """Every output of one witness, as full reprs: entries, polynomials in insertion order, values, certificates."""
+    out = [repr((w.H, w.residual, w.entry_residuals, sorted(w.assignment.items())))]
+    for poly in _witness_polys(w, ctx):
+        out.append(repr(list(poly.terms.items())))
+        out.append(repr(evaluate(poly, w.assignment, ctx)))
+    R = _relation_polynomial(w, ctx)
+    if R is not None:
+        cert = not_in_I0(R, IdealI0(smooth_coords=w.smooth_coords), 5, ctx, seed=1)
+        out.append(repr((list(cert.point.items()), cert.value, cert.attempts_used)))
+    return out
+
+
+def test_outputs_match_coercing_every_value(ctx, monkeypatch):
+    # the synthetic witnesses, their polynomials, values and certificates are
+    # the same bits when every draw is mpf(n)/d tested on the rounded |z|,
+    # every coefficient operation coerces both operands and evaluate coerces
+    # every occurrence
+    fast = [_dump(w, ctx) for w in _synthetic_witnesses(ctx)]
+    monkeypatch.setattr(relations, "_rand_complex", rand_complex_mpf)
+    monkeypatch.setattr(relations, "_rand_nonzero_complex", rand_nonzero_complex_abs)
+    monkeypatch.setattr(polyrel, "_same_kind", lambda x, y: polyrel._is_exact(x) and polyrel._is_exact(y))
+    monkeypatch.setattr(MultiPoly, "evaluate", multipoly_evaluate_naive)
+    assert [_dump(w, ctx) for w in _synthetic_witnesses(ctx)] == fast
 
 
 def test_relation_polynomials_ignore_ambient_precision(ctx):
