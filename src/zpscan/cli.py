@@ -61,6 +61,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _context(args) -> PrecisionContext:
     if args.precision is None:
         return PrecisionContext.from_env()
@@ -419,9 +429,6 @@ def _genuine_second_way_cli(args, ctx):
 
 def cmd_check_relation(args) -> int:
     ctx = _context(args)
-    if args.attempts < 1:
-        sys.stderr.write(f"error: --attempts must be at least 1, got {args.attempts}\n")
-        return EXIT_USAGE
     with open(args.instance, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     configs = tuple(_config_from(c) for c in data["configs"])
@@ -460,10 +467,17 @@ def cmd_check_relation(args) -> int:
 
 
 def _parse_levels(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            levels = list(range(int(lo), int(hi) + 1))
+        else:
+            levels = [int(x) for x in spec.split(",")]
+    except ValueError:
+        levels = []
+    if not levels or min(levels) < 1 or len(set(levels)) < len(levels):
+        raise ValueError(f"--levels must name distinct levels >= 1, got {spec!r}")
+    return levels
 
 
 def _parse_pairs(spec: str, n: int) -> list[tuple]:
@@ -608,10 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="modular polynomials")
     psub = p.add_subparsers(dest="phi_cmd", required=True)
     pe = psub.add_parser("exact", parents=[common])
-    pe.add_argument("--level", type=int, required=True)
+    pe.add_argument("--level", type=_positive_int, required=True)
     pe.set_defaults(fn=cmd_phi)
     pn = psub.add_parser("eval", parents=[common])
-    pn.add_argument("--level", type=int, required=True)
+    pn.add_argument("--level", type=_positive_int, required=True)
     pn.add_argument("--x", type=str, required=True)
     pn.add_argument("--tau", type=str, required=True)
     pn.set_defaults(fn=cmd_phi)
@@ -637,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-relation", parents=[common], help="verify a stored relation instance")
     p.add_argument("--instance", type=str, required=True)
-    p.add_argument("--attempts", type=int, default=5)
+    p.add_argument("--attempts", type=_positive_int, default=5)
     p.set_defaults(fn=cmd_check_relation)
 
     p = sub.add_parser("scan", parents=[common], help="scan a rational curve for stratum points")

@@ -1,31 +1,34 @@
-"""Modular polynomials Phi_N: numeric evaluation, exact recovery, specialization.
+"""Modular polynomials Phi_N: numeric evaluation, exact construction, specialization.
 
 Phi_N(X, Y) is the symmetric integer polynomial vanishing exactly on pairs of
 j-invariants of N-cyclically-isogenous curves; its degree in X is psi(N) and
 its roots over Y = j(tau) are the j-values of the psi(N) cyclic index-N
 sublattices of Z + Z*tau.
 
-Exact recovery interpolates: it samples psi(N)+1 points tau_m on the imaginary
-axis, expands prod(X - j_sub) numerically at each, solves the Vandermonde
-system in Y = j(tau_m) for every X-coefficient, rounds to integers, and
-re-runs at doubled precision until the rounding is stable; the result is then
-verified by symmetry and by numeric evaluation at random points.
+The exact table is built from integer q-expansions, with no floating point
+(Elkies 1998; Yui 1978).  The power sums p_k = sum j(tau')**k over the
+sublattices tau' = (A*tau + B)/D, A*D = N, 0 <= B < D, gcd(A, B, D) = 1, are
+integer Laurent series in q: summing over B multiplies the q**(n/D) term of
+j**k(A*tau) by sum_{e | gcd(A, D)} mu(e) * (D/e) * [D/e divides n].
+Cancelling the poles of p_k with powers of j = 1/q + 744 + ... writes it as a
+polynomial in Y = j(tau) of degree at most k*N, and Newton's identities turn
+the power sums into the X-coefficients of prod(X - j(tau')).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 
-from .analytic import PrecisionContext, j_invariant, to_complex
-from .errors import DegenerateInput, DomainError, NonConvergence
+from .analytic import PrecisionContext, _sigma, j_invariant, to_complex
+from .errors import DegenerateInput, DomainError, StructureViolation
 from .exactpoly import IntPoly, RatFunc
 from .isogeny import cyclic_sublattices, psi
 
 MAX_EXACT_LEVEL = 5
-_RECOVERY_BITS_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,6 @@ class ModularPolynomial:
             for (i, j), c in self.coeffs.items():
                 acc += c * x ** i * y ** j
             return +acc
-
-    def as_x_poly_in(self, y):
-        """Coefficients in X (ascending) with Y specialized to an exact value."""
-        deg = self.degree
-        out = [0] * (deg + 1)
-        for (i, j), c in self.coeffs.items():
-            out[i] += c * y ** j
-        return out
 
 
 def sublattice_j_values(N: int, tau, ctx: PrecisionContext = None) -> list[mp.mpc]:
@@ -105,56 +100,79 @@ def phi_eval_numeric(N: int, x, tau, ctx: PrecisionContext = None) -> mp.mpc:
         return +acc
 
 
-def _expand_monic(roots) -> list[mp.mpc]:
-    coeffs = [mp.mpc(1)]
-    for r in roots:
-        nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] -= c * r
-            nxt[i + 1] += c
-        coeffs = nxt
-    return coeffs
+def _q_times_j(length: int) -> IntPoly:
+    """q*j = E4**3 / prod(1 - q**n)**24 through q**(length - 1)."""
+    sig = _sigma(3, length)
+    e4 = IntPoly([1] + [240 * sig[n] for n in range(1, length)])
+    series = (e4 * e4 * e4).coeffs[:length]
+    for n in range(1, length):
+        for _ in range(24):  # dividing by 1 - q**n is a running sum with stride n
+            for m in range(n, length):
+                series[m] += series[m - n]
+    return IntPoly(series)
 
 
-def _recover_at(N: int, bits: int) -> dict:
-    ctx = PrecisionContext(bits=bits)
+def _build_phi(N: int) -> ModularPolynomial:
+    """Phi_N by power sums of the sublattice j-values, pole cancellation and Newton's identities."""
     n = psi(N)
-    with ctx.workprec():
-        taus = [mp.mpc(0, 1 + mp.mpf(m) / 7) for m in range(n + 1)]
-        ys = [j_invariant(t, ctx) for t in taus]
-        rows = [_expand_monic(sublattice_j_values(N, t, ctx)) for t in taus]
-        V = mp.matrix(n + 1, n + 1)
-        for m in range(n + 1):
-            acc = mp.mpc(1)
-            for jj in range(n + 1):
-                V[m, jj] = acc
-                acc *= ys[m]
-        table = {}
-        max_err = mp.mpf(0)
-        for k in range(n + 1):
-            rhs = mp.matrix([rows[m][k] for m in range(n + 1)])
-            sol = mp.lu_solve(V, rhs)
-            for jj in range(n + 1):
-                c = sol[jj]
-                ci = int(mp.nint(mp.re(c)))
-                err = abs(c - ci)
-                max_err = max(max_err, err)
-                if ci != 0:
-                    table[(k, jj)] = ci
-        return table, max_err
+    length = n * N + 2
+    qj = _q_times_j(length)
+    powers = [[1] + [0] * (length - 1)]  # powers[m][t] is the coefficient of q**(t - m) in j**m
+    for _ in range(n * N):
+        powers.append((IntPoly(powers[-1]) * qj).coeffs[:length])
+    blocks = []
+    for A in (a for a in range(1, N + 1) if N % a == 0):
+        D, g = N // A, gcd(A, N // A)
+        mu = {}  # the Moebius function on the divisors e of g: sum of mu(d), d | e, is [e == 1]
+        for e in (e for e in range(1, g + 1) if g % e == 0):
+            mu[e] = 1 if e == 1 else -sum(v for d, v in mu.items() if e % d == 0)
+        blocks.append((A, D, [(v * (D // e), D // e) for e, v in mu.items()]))
+    sums = []
+    for k in range(1, n + 1):
+        pole = k * N
+        series = [0] * (pole + 2)  # series[i] is the coefficient of q**(i - pole) in p_k
+        for A, D, weights in blocks:
+            for m in range(-k, D // A + 1):  # the q**m terms of j**k that land at or below q**1
+                w = sum(c for c, step in weights if m % step == 0)
+                if w:
+                    series[pole + A * m // D] += w * powers[k][m + k]
+        y_coeffs = [0] * (pole + 1)
+        for m in range(pole, -1, -1):
+            c = y_coeffs[m] = series[pole - m]
+            for t in range(m + 2):
+                series[pole - m + t] -= c * powers[m][t]
+        if series[pole + 1]:
+            raise StructureViolation(f"Phi_{N}: p_{k} keeps a q^1 term after pole cancellation")
+        sums.append(IntPoly(y_coeffs))
+    elementary = [IntPoly([1])]
+    for k in range(1, n + 1):
+        acc = IntPoly([])
+        for i in range(1, k + 1):
+            acc = acc + elementary[k - i] * sums[i - 1] * (-1) ** (i - 1)
+        if any(c % k for c in acc.coeffs):
+            raise StructureViolation(
+                f"Phi_{N}: Newton's identity for e_{k} is not divisible by {k}"
+            )
+        elementary.append(IntPoly([c // k for c in acc.coeffs]))
+    table = {}
+    for i in range(n + 1):
+        for jj, c in enumerate(elementary[n - i].coeffs):
+            if c:
+                table[(i, jj)] = (-1) ** (n - i) * c
+    phi = ModularPolynomial(level=N, coeffs=table)
+    if N > 1 and not phi.is_symmetric():
+        raise StructureViolation(f"Phi_{N}: the constructed table is not symmetric")
+    return phi
 
 
 _EXACT_CACHE: dict[int, ModularPolynomial] = {}
 
 
 def phi_recover_exact(N: int, ctx: PrecisionContext = None) -> ModularPolynomial:
-    """Recover the exact integer table of Phi_N (N <= 5 by default policy).
+    """The exact integer table of Phi_N, N <= MAX_EXACT_LEVEL, built once and cached.
 
-    Doubles the working precision until two consecutive recoveries agree and
-    the rounding error is far below 1/2, then validates symmetry and the
-    vanishing Phi_N(j(tau), j(N*tau)) ~ 0 at sample points.
+    The construction is integer arithmetic alone: ctx does not affect the table.
     """
-    ctx = ctx or PrecisionContext()
     if N < 1:
         raise DomainError("level must be >= 1")
     if N > MAX_EXACT_LEVEL:
@@ -162,40 +180,9 @@ def phi_recover_exact(N: int, ctx: PrecisionContext = None) -> ModularPolynomial
             f"exact recovery is limited to level <= {MAX_EXACT_LEVEL}; "
             "use phi_eval_numeric for larger levels"
         )
-    cached = _EXACT_CACHE.get(N)
-    if cached is not None:
-        return cached
-    bits = max(ctx.bits, 192)
-    prev = None
-    while bits <= _RECOVERY_BITS_CAP:
-        table, err = _recover_at(N, bits)
-        if prev is not None and table == prev and err < mp.mpf(2) ** (-bits // 4):
-            phi = ModularPolynomial(level=N, coeffs=table, provenance="recovered")
-            _validate_recovery(phi, ctx)
-            _EXACT_CACHE[N] = phi
-            return phi
-        prev = table
-        bits *= 2
-    raise NonConvergence(
-        f"Phi_{N} coefficients did not stabilize below {_RECOVERY_BITS_CAP} bits"
-    )
-
-
-def _validate_recovery(phi: ModularPolynomial, ctx: PrecisionContext):
-    if phi.level > 1 and not phi.is_symmetric():
-        raise NonConvergence(f"recovered Phi_{phi.level} is not symmetric")
-    check_ctx = PrecisionContext(bits=max(ctx.bits, 256))
-    with check_ctx.workprec():
-        for m in range(5):
-            tau = mp.mpc(mp.mpf(1) / (m + 3), mp.mpf(11) / 10 + mp.mpf(m) / 9)
-            jt = j_invariant(tau, check_ctx)
-            jnt = j_invariant(phi.level * tau, check_ctx)
-            val = phi.eval_mp(jt, jnt, check_ctx)
-            scale = max(mp.mpf(1), abs(jt), abs(jnt)) ** (2 * phi.degree)
-            if abs(val) > check_ctx.tol * scale:
-                raise NonConvergence(
-                    f"recovered Phi_{phi.level} fails the isogenous-pair vanishing check"
-                )
+    if N not in _EXACT_CACHE:
+        _EXACT_CACHE[N] = _build_phi(N)
+    return _EXACT_CACHE[N]
 
 
 def phi_specialize(phi: ModularPolynomial, f: RatFunc, g: RatFunc) -> IntPoly:
@@ -227,8 +214,3 @@ def _powers(p: IntPoly, up_to: int) -> list[IntPoly]:
     for _ in range(up_to):
         out.append(out[-1] * p)
     return out
-
-
-def phi_x_minus_y() -> ModularPolynomial:
-    """The level-1 polynomial X - Y (j-equality stratum)."""
-    return ModularPolynomial(level=1, coeffs={(1, 0): 1, (0, 1): -1}, provenance="supplied")

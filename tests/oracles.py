@@ -18,7 +18,10 @@ Everything here deliberately avoids the code paths it checks:
 * relation polynomials are evaluated by a loop that coerces every
   coefficient and every occurrence of a variable anew, and the synthetic
   draws divide mpf(n) by d and test |z| > 1/4 on the rounded mpc, as the
-  library did before it coerced each value once.
+  library did before it coerced each value once;
+* modular polynomial tables come from a Vandermonde interpolation of
+  numerically evaluated sublattice j-values, rounded to integers, as the
+  library recovered them before it built them from integer q-expansions.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from math import gcd as int_gcd
 
 import mpmath as mp
 
-from zpscan.analytic import PrecisionContext, eisenstein, to_complex
+from zpscan.analytic import PrecisionContext, eisenstein, j_invariant, to_complex
+from zpscan.isogeny import psi
+from zpscan.modular import sublattice_j_values
 
 
 def lemniscate_constant(bits: int = 256) -> mp.mpf:
@@ -425,3 +430,48 @@ def rand_nonzero_complex_abs(rng) -> mp.mpc:
         z = rand_complex_mpf(rng)
         if abs(z) > mp.mpf(1) / 4:
             return z
+
+
+def _expand_monic(roots) -> list[mp.mpc]:
+    coeffs = [mp.mpc(1)]
+    for r in roots:
+        nxt = [mp.mpc(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] -= c * r
+            nxt[i + 1] += c
+        coeffs = nxt
+    return coeffs
+
+
+def phi_recover_numeric(N: int, bits: int) -> tuple[dict, mp.mpf]:
+    """Phi_N's table by interpolation at tau_m = i(1 + m/7), and the largest rounding error.
+
+    prod(X - j_sub) is expanded numerically at psi(N)+1 points, the
+    Vandermonde system in Y = j(tau_m) is solved for every X-coefficient and
+    the solution is rounded to integers.  Keys are inserted X-power
+    ascending, then Y-power ascending, zeros skipped.
+    """
+    ctx = PrecisionContext(bits=bits)
+    n = psi(N)
+    with ctx.workprec():
+        taus = [mp.mpc(0, 1 + mp.mpf(m) / 7) for m in range(n + 1)]
+        ys = [j_invariant(t, ctx) for t in taus]
+        rows = [_expand_monic(sublattice_j_values(N, t, ctx)) for t in taus]
+        V = mp.matrix(n + 1, n + 1)
+        for m in range(n + 1):
+            acc = mp.mpc(1)
+            for jj in range(n + 1):
+                V[m, jj] = acc
+                acc *= ys[m]
+        table = {}
+        max_err = mp.mpf(0)
+        for k in range(n + 1):
+            rhs = mp.matrix([rows[m][k] for m in range(n + 1)])
+            sol = mp.lu_solve(V, rhs)
+            for jj in range(n + 1):
+                c = sol[jj]
+                ci = int(mp.nint(mp.re(c)))
+                max_err = max(max_err, abs(c - ci))
+                if ci != 0:
+                    table[(k, jj)] = ci
+        return table, max_err

@@ -351,3 +351,25 @@ def test_numeric_double_checks_find_nothing_on_the_readme_curve(tmp_path):
     assert doc["exact_levels"] == [2] and doc["numeric_levels"] == [6]
     assert doc["report"]["rows"]
     assert not any(r["numeric_only"] for r in doc["report"]["rows"])
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--level", ["phi", "exact", "--level", "0"]),
+        ("--level", ["phi", "eval", "--level", "0", "--x", "1,0", "--tau", "0,1"]),
+        ("--levels", "0,2"),
+        ("--levels", "5..2"),
+        ("--levels", "2,x"),
+        # a repeated level would pair each stratum with itself as a double point
+        ("--levels", "2,2"),
+    ],
+)
+def test_level_usage_errors_exit_one(tmp_path, capsys, flag, argv):
+    if flag == "--levels":
+        levels, argv = argv, _readme_scan(tmp_path)
+        argv[argv.index("--levels") + 1] = levels
+    code = main(argv + ["--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert flag in captured.err and captured.out == ""

@@ -1,20 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from zpscan.analytic import j_invariant, polyroots
+from zpscan import modular
+from zpscan.analytic import PrecisionContext, j_invariant, polyroots
 from zpscan.errors import DegenerateInput, DomainError
 from zpscan.exactpoly import RatFunc
 from zpscan.isogeny import psi
-from zpscan.modular import (
-    phi_eval_numeric,
-    phi_recover_exact,
-    phi_specialize,
-    phi_x_minus_y,
-    sublattice_j_values,
-)
+from zpscan.modular import phi_eval_numeric, phi_recover_exact, phi_specialize, sublattice_j_values
+from zpscan.periods import reduce_tau
+
+from oracles import phi_recover_numeric
 
 # the classical level-2 table, frozen as an external cross-check
 PHI2_KNOWN = {
@@ -58,7 +57,6 @@ def test_phi3_recovery_shape(ctx):
 def test_level_one_analogue(ctx):
     phi = phi_recover_exact(1, ctx)
     assert phi.coeffs == {(1, 0): 1, (0, 1): -1}
-    assert phi_x_minus_y().coeffs == phi.coeffs
 
 
 def test_phi_eval_numeric_zero_at_isogenous_value(ctx):
@@ -104,7 +102,6 @@ def test_root_correspondence(ctx):
     with ctx.workprec():
         tau = mp.mpc(mp.mpf(1) / 7, mp.mpf(13) / 10)
         jv = j_invariant(tau, ctx)
-        coeffs = phi.as_x_poly_in(0)
         xpoly = [mp.mpc(0)] * 4
         for (i, k), c in phi.coeffs.items():
             xpoly[i] += c * jv ** k
@@ -120,15 +117,64 @@ def test_recovery_caps_level(ctx):
         phi_recover_exact(6, ctx)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_exact_tables_match_numeric_recovery_oracle(ctx, N):
+    table, err = phi_recover_numeric(N, 1024)
+    assert err < mp.mpf(2) ** -256
+    # insertion order too: eval_mp sums the terms in table order
+    assert list(phi_recover_exact(N, ctx).coeffs.items()) == list(table.items())
+
+
+def test_exact_tables_build_without_mpmath(monkeypatch, ctx):
+    expected = {N: phi_recover_exact(N, ctx).coeffs for N in range(2, 6)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact construction called into mpmath")
+
+    monkeypatch.setattr(modular, "_EXACT_CACHE", {})
+    monkeypatch.setattr(modular, "j_invariant", forbidden)
+    monkeypatch.setattr(mp, "lu_solve", forbidden)
+    for N in range(2, 6):
+        assert phi_recover_exact(N, ctx).coeffs == expected[N]
+
+
+@pytest.mark.parametrize("N", [6, 7, 8, 9])
+def test_construction_beyond_the_cap(N):
+    # N = 8 and 9 exercise gcd(A, D) = 2 and 3 in the Moebius weights
+    phi = modular._build_phi(N)
+    assert phi.is_symmetric()
+    assert phi.degree == psi(N) and phi.coeffs[(psi(N), 0)] == 1
+    assert all(i < psi(N) for (i, j) in phi.coeffs if (i, j) != (psi(N), 0))
+    if N == 7:
+        # Kronecker: Phi_p(X, Y) = (X**p - Y)(X - Y**p) mod p
+        kronecker = {(8, 0): 1, (7, 7): -1, (1, 1): -1, (0, 8): 1}
+        keys = set(phi.coeffs) | set(kronecker)
+        assert all((phi.coeffs.get(k, 0) - kronecker.get(k, 0)) % 7 == 0 for k in keys)
+    # Phi_N(j(tau), j(N*tau)) = 0 within the scale tol * max(1, |j|)**(2 * degree).
+    # tau = z/N with |z|**2 near N keeps both j-values moderate, so the scale
+    # is far below 1 and any wrong coefficient shows; the j-values are taken at
+    # 2048 bits because at 1024 bits their own error exceeds that scale.
+    tol = PrecisionContext(bits=1024).tol
+    hi = PrecisionContext(bits=2048)
+    with hi.workprec():
+        for x in (math.isqrt(N - 1), math.isqrt(N - 1) + 1):
+            z = mp.mpc(x, mp.mpf(11) / 10)
+            jt = j_invariant(reduce_tau(z / N, hi)[0], hi)
+            jnt = j_invariant(z, hi)
+            scale = max(mp.mpf(1), abs(jt), abs(jnt)) ** (2 * phi.degree)
+            assert tol * scale < 1
+            assert abs(phi.eval_mp(jt, jnt, hi)) < tol * scale
+
+
 def test_phi_specialize_identical_maps(ctx):
-    phi = phi_x_minus_y()
+    phi = phi_recover_exact(1, ctx)
     t = RatFunc.from_coeffs([0, 1])
     with pytest.raises(DegenerateInput):
         phi_specialize(phi, t, t)
 
 
 def test_phi_specialize_unit(ctx):
-    phi = phi_x_minus_y()
+    phi = phi_recover_exact(1, ctx)
     f = RatFunc.from_coeffs([0, 1])
     g = RatFunc.from_coeffs([1, 1])
     poly = phi_specialize(phi, f, g)

@@ -7,7 +7,7 @@ from zpscan import scanner
 from zpscan.analytic import PrecisionContext, j_invariant
 from zpscan.errors import DegenerateInput, DomainError
 from zpscan.exactpoly import RatFunc, gcd, mahler_height, squarefree
-from zpscan.modular import phi_recover_exact, phi_x_minus_y
+from zpscan.modular import phi_recover_exact
 from zpscan.periods import detect_cm
 from zpscan.scanner import (
     CurveModel,
@@ -60,18 +60,18 @@ def test_curve_file_roundtrip():
         parse_curve_file("j1 = 1 / 1\n")
 
 
-def test_stratum_identically_zero():
+def test_stratum_identically_zero(ctx):
     curve = CurveModel(
         n=2,
         maps=(RatFunc.from_coeffs([0, 1]), RatFunc.from_coeffs([0, 1])),
         allow_equal_maps=True,
     )
     with pytest.raises(DegenerateInput):
-        stratum_poly(curve, (1, 2), 1, phi_x_minus_y())
+        stratum_poly(curve, (1, 2), 1, phi_recover_exact(1, ctx))
 
 
-def test_stratum_unit_polynomial():
-    poly = stratum_poly(LINE_CURVE, (1, 2), 1, phi_x_minus_y())
+def test_stratum_unit_polynomial(ctx):
+    poly = stratum_poly(LINE_CURVE, (1, 2), 1, phi_recover_exact(1, ctx))
     assert poly.degree == 0  # no roots: the line never meets the diagonal
 
 
