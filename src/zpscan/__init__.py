@@ -8,7 +8,7 @@ periods for the conventions, relations for the scalar identities, polyrel
 for their polynomial forms, and scanner for the exact stratum search.
 """
 
-from .analytic import ComplexValue, PrecisionContext, agm, eisenstein, j_invariant, polyroots
+from .analytic import ComplexValue, PrecisionContext, eisenstein, j_invariant, polyroots
 from .errors import (
     DegenerateInput,
     DomainError,

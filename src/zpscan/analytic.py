@@ -1,4 +1,4 @@
-"""Precision-managed complex kernels: AGM, Eisenstein q-series, j, root finding.
+"""Precision-managed complex kernels: Eisenstein q-series, Delta, j, root finding.
 
 All operations take a PrecisionContext and do their arithmetic inside an
 mpmath workprec block, so the global mpmath precision of the caller is never
@@ -12,6 +12,11 @@ Conventions
   embeddings.
 * Polynomial coefficient lists are ascending: coeffs[k] is the coefficient
   of x**k.
+* One q-series kernel (_q_sums) sums E2, E4, E6 and the discriminant
+  Delta = q * prod(1 - q**n)**24 over one list of powers q**n, in mpc or in
+  complex floats.  Every j-value is E4^3 / Delta, and j - value and dj/dtau
+  come from one formula (_j_minus); nothing forms E4^3 - E6^2, which cancels
+  at large Im(tau).
 """
 
 from __future__ import annotations
@@ -96,34 +101,6 @@ def to_complex(value) -> mp.mpc:
     return mp.mpc(mp.mpmathify(value))
 
 
-def agm(a, b, ctx: PrecisionContext = None) -> mp.mpc:
-    """Arithmetic-geometric mean with the right-choice square-root branch.
-
-    At each step the geometric mean g is chosen so that |a' - g| <= |a' + g|
-    where a' is the arithmetic mean; ties break toward positive real part.
-    Raises NonConvergence after 4*bits iterations (e.g. for an anti-parallel
-    input pair, whose degenerate limit 0 never satisfies the relative test).
-    """
-    ctx = ctx or PrecisionContext()
-    a = to_complex(a)
-    b = to_complex(b)
-    if a == 0 or b == 0:
-        raise DomainError("agm requires nonzero arguments")
-    with ctx.workprec():
-        a, b = +a, +b
-        for _ in range(4 * ctx.bits):
-            if abs(a - b) <= ctx.tol * abs(a):
-                return +a
-            am = (a + b) / 2
-            gm = mp.sqrt(a * b)
-            d_minus = abs(am - gm)
-            d_plus = abs(am + gm)
-            if d_minus > d_plus or (d_minus == d_plus and mp.re(gm) < 0):
-                gm = -gm
-            a, b = am, gm
-    raise NonConvergence("agm did not converge within 4*bits iterations")
-
-
 # divisor-power sums sigma_k(n), cached and grown on demand
 _SIGMA_CACHE: dict[int, list[int]] = {}
 
@@ -169,27 +146,52 @@ def eisenstein(k: int, tau, ctx: PrecisionContext = None) -> mp.mpc:
         return _eisenstein_sums((k,), tau, ctx)[0]
 
 
-def _eisenstein_sums(weights, tau, ctx) -> list[mp.mpc]:
-    """[E_k(tau) for k in weights], all summed over one list of powers q**n.
+def _eisenstein_sums(weights, tau, ctx, delta: bool = False) -> list[mp.mpc]:
+    """[E_k(tau) for k in weights], then Delta(tau) when delta is true, at working precision.
 
-    Each series keeps exactly the terms eisenstein(k) keeps.  Call inside
+    Each series keeps exactly the terms eisenstein(k) keeps; Delta is
+    _q_sums's product through the longest of them.  Call inside
     ctx.workprec() with Im(tau) > 0.
     """
-    counts = [_series_length(k, tau, ctx) for k in weights]
-    q = mp.exp(ctx.two_pi_i * tau)
+    terms = [(k, _series_length(k, tau, ctx)) for k in weights]
+    return _q_sums(mp.exp(ctx.two_pi_i * tau), terms, delta)
+
+
+def _q_sums(q, terms, delta: bool = False) -> list:
+    """E_k through q**count for each (k, count) in terms, then Delta if asked.
+
+    All are summed over one list of powers q**n.  Delta =
+    q * prod(1 - q**n)**24, which does not cancel at large Im(tau) as
+    E4^3 - E6^2 does; the product is Euler's pentagonal series
+    1 + sum_m (-1)**m (q**(m(3m-1)/2) + q**(m(3m+1)/2)) through the powers
+    already formed, raised to the 24th power by squarings.  q is an mpc
+    (call inside ctx.workprec()) or a Python complex.
+    """
+    length = max(count for _, count in terms)
+    qn = one = type(q)(1)
     powers = []
-    qn = mp.mpc(1)
-    for _ in range(max(counts)):
+    for _ in range(length):
         qn *= q
         powers.append(qn)
     sums = []
-    for k, count in zip(weights, counts):
+    for k, count in terms:
         coef = _EISEN_COEF[k]
         sig = _sigma(k - 1, count)
-        total = mp.mpc(1)
+        total = one
         for n in range(1, count + 1):
             total += coef * sig[n] * powers[n - 1]
         sums.append(+total)
+    if delta:
+        prod, m = one, 1
+        while (g := m * (3 * m - 1) // 2) <= length:
+            for e in (g, g + m):  # m(3m - 1)/2 and m(3m + 1)/2
+                if e <= length:
+                    prod = prod - powers[e - 1] if m % 2 else prod + powers[e - 1]
+            m += 1
+        p2 = prod * prod
+        p4 = p2 * p2
+        p8 = p4 * p4
+        sums.append(q * (p8 * p8 * p8))
     return sums
 
 
@@ -220,54 +222,44 @@ def _series_length(k: int, tau, ctx) -> int:
 
 
 def j_invariant(tau, ctx: PrecisionContext = None) -> mp.mpc:
-    """Modular j-invariant via j = 1728 E4^3 / (E4^3 - E6^2)."""
+    """Modular j-invariant j = E4^3 / Delta, with Delta = q * prod(1 - q**n)**24."""
     ctx = ctx or PrecisionContext()
     tau = to_complex(tau)
     if not mp.im(tau) > 0:
         raise DomainError("j_invariant requires Im(tau) > 0")
     with ctx.workprec():
-        e4, e6 = _eisenstein_sums((4, 6), tau, ctx)
-        num = 1728 * e4 ** 3
-        den = e4 ** 3 - e6 ** 2
-        if den == 0:
-            raise NonConvergence(
-                f"j_invariant: E4^3 - E6^2 cancels to 0 at Im(tau)={mp.nstr(mp.im(tau), 8)} "
-                f"with {ctx.bits} bits; raise the precision"
-            )
-        return +(num / den)
+        e4, delta = _eisenstein_sums((4,), tau, ctx, delta=True)
+        return e4 ** 3 / delta
+
+
+def _j_minus(value, e4, e6, delta, two_pi_i) -> tuple:
+    """(j(tau) - value, dj/dtau) from E4, E6 and Delta at tau, as mpc or as complex.
+
+    j - value is E4^3 / Delta - value, or, when value is nearer 1728 than 0,
+    E6^2 / Delta - (value - 1728) (1728 Delta = E4^3 - E6^2), so that it keeps
+    its accuracy near the triple root rho of j and near the double root i of
+    j - 1728.  dj/dtau = -2*pi*i E4^2 E6 / Delta.
+    """
+    e4_sq_delta = e4 * e4 / delta
+    if value.real <= 864:  # |value| <= |value - 1728|
+        residual = e4_sq_delta * e4 - value
+    else:
+        residual = e6 * e6 / delta - (value - 1728)
+    return residual, -two_pi_i * e6 * e4_sq_delta
 
 
 def _j_float(tau: complex, value: complex) -> tuple[complex, complex]:
-    """(j(tau) - value, dj/dtau) in complex floats, for a starting point of Newton's method.
+    """_j_minus in complex floats, for a starting point of Newton's method.
 
-    Delta = q * prod(1 - q**n)**24, which does not cancel at large Im(tau) as
-    E4^3 - E6^2 does.  j - value is E4^3 / Delta - value, or, when value is
-    nearer 1728 than 0, E6^2 / Delta - (value - 1728) (1728 Delta =
-    E4^3 - E6^2), so that it keeps its accuracy near the triple root rho of j
-    and near the double root i of j - 1728.  dj/dtau = -2*pi*i E4^2 E6 / Delta.
     The series and the product stop once 504 * n**5 * |q**n| < 2**-60.
     Raises ZeroDivisionError when q underflows (Im(tau) above about 110).
     """
     q = cmath.exp(2j * math.pi * tau)
-    s3, s5 = _sigma(3, 64), _sigma(5, 64)
-    e4 = e6 = prod = qn = 1 + 0j
-    n = 0
-    while True:
+    abs_q, n = abs(q), 1
+    while 504 * n ** 5 * abs_q ** n >= 2.0 ** -60:
         n += 1
-        qn *= q
-        if 504 * n ** 5 * abs(qn) < 2.0 ** -60:
-            break
-        if n >= len(s5):
-            s3, s5 = _sigma(3, 2 * n), _sigma(5, 2 * n)
-        e4 += 240 * s3[n] * qn
-        e6 -= 504 * s5[n] * qn
-        prod *= 1 - qn
-    delta = q * prod ** 24
-    if abs(value) <= abs(value - 1728):
-        residual = e4 ** 3 / delta - value
-    else:
-        residual = e6 ** 2 / delta - (value - 1728)
-    return residual, -2j * math.pi * e4 ** 2 * e6 / delta
+    e4, e6, delta = _q_sums(q, ((4, n - 1), (6, n - 1)), delta=True)
+    return _j_minus(value, e4, e6, delta, 2j * math.pi)
 
 
 def _polyval(coeffs, z):

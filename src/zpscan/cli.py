@@ -483,11 +483,19 @@ def _parse_levels(spec: str) -> list[int]:
 def _parse_pairs(spec: str, n: int) -> list[tuple]:
     if spec == "all":
         return all_pairs(n)
-    out = []
-    for chunk in spec.split(";"):
-        a, b = chunk.split(",")
-        out.append((int(a), int(b)))
-    return out
+    try:
+        pairs = [tuple(int(i) for i in chunk.split(",")) for chunk in spec.split(";")]
+    except ValueError:
+        pairs = []
+    if (
+        not pairs
+        or any(len(p) != 2 or p[0] == p[1] or not all(1 <= i <= n for i in p) for p in pairs)
+        or len({frozenset(p) for p in pairs}) < len(pairs)
+    ):
+        raise ValueError(
+            f"--pairs must name distinct pairs i,j of different coordinates in 1..{n}, got {spec!r}"
+        )
+    return pairs
 
 
 def _scan_soundness_task(packed):

@@ -118,10 +118,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def scale_arg_neg(self) -> "IntPoly":
-        """p(-x)."""
-        return IntPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
     # -- content / division -------------------------------------------------
 
     def content(self) -> int:
@@ -168,9 +164,6 @@ class IntPoly:
             return other.is_zero()
         _, rem = _pseudo_divmod(other.coeffs, self.coeffs)
         return not any(rem)
-
-    def l2_norm(self) -> mp.mpf:
-        return mp.sqrt(mp.mpf(sum(c * c for c in self.coeffs)))
 
 
 def _pseudo_divmod(num, den):

@@ -81,17 +81,6 @@ class Lattice:
     def from_tau(cls, tau) -> "Lattice":
         return cls(mp.mpc(1), to_complex(tau))
 
-    @classmethod
-    def oriented(cls, w1, w2) -> "Lattice":
-        """Build a lattice from any basis, negating w2 if needed to orient it."""
-        w1 = to_complex(w1)
-        w2 = to_complex(w2)
-        if w1 == 0:
-            w1, w2 = w2, w1
-        if mp.im(w2 / w1) < 0:
-            w2 = -w2
-        return cls(w1, w2)
-
     def scaled(self, factor) -> "Lattice":
         factor = to_complex(factor)
         return Lattice(self.omega1 * factor, self.omega2 * factor)

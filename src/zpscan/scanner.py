@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .analytic import PrecisionContext, _eisenstein_sums, _j_float, to_complex
+from .analytic import PrecisionContext, _eisenstein_sums, _j_float, _j_minus, to_complex
 from .errors import DegenerateInput, DomainError, NonConvergence
 from .exactpoly import (
     AlgebraicPointSet,
@@ -420,18 +420,9 @@ def _newton_j(value, tau, ctx, max_newton, target_tol):
     for _ in range(max_newton):
         if not mp.im(tau) > mp.mpf(1) / 100:
             return None
-        e4, e6 = _eisenstein_sums((4, 6), tau, ctx)
-        delta = (e4 ** 3 - e6 ** 2) / 1728
-        if delta == 0:
-            return None
-        jval = e4 ** 3 / delta
-        fv = jval - value
+        fv, deriv = _j_minus(value, *_eisenstein_sums((4, 6), tau, ctx, delta=True), ctx.two_pi_i)
         if abs(fv) < target_tol:
             return tau
-        # dj/dtau = -2*pi*i * E4^2 * E6 / Delta
-        deriv = -ctx.two_pi_i * e4 ** 2 * e6 / delta
-        if deriv == 0:
-            return None
         step = fv / deriv
         # damp huge steps to stay in the upper half-plane
         if abs(step) > mp.im(tau) / 2:

@@ -36,12 +36,6 @@ from zpscan.isogeny import psi
 from zpscan.modular import sublattice_j_values
 
 
-def lemniscate_constant(bits: int = 256) -> mp.mpf:
-    """2 * integral_0^1 dt/sqrt(1 - t^4), by tanh-sinh quadrature."""
-    with mp.workprec(bits):
-        return 2 * mp.quad(lambda t: 1 / mp.sqrt(1 - t ** 4), [0, 1])
-
-
 def curve_invariants(lat, ctx: PrecisionContext):
     """g2, g3 of the lattice via the weight-4 and weight-6 series only."""
     from zpscan.periods import reduce_tau

@@ -8,7 +8,6 @@ from zpscan.analytic import (
     _eisenstein_sums,
     _float_start,
     _j_float,
-    agm,
     eisenstein,
     j_invariant,
     polyroots,
@@ -18,7 +17,6 @@ from zpscan.errors import DegenerateInput, DomainError, NonConvergence
 from oracles import (
     eisenstein_term_test,
     expand_from_roots,
-    lemniscate_constant,
     log_delta_derivative,
     polyroots_circle,
 )
@@ -30,48 +28,6 @@ def test_precision_context_defaults():
     assert ctx.tol == mp.mpf(2) ** -128
     with pytest.raises(DomainError):
         PrecisionContext(bits=32)
-
-
-def test_agm_fixed_point(ctx):
-    assert abs(agm(1, 1, ctx) - 1) < ctx.tol
-
-
-def test_agm_homogeneity(ctx):
-    with ctx.workprec():
-        lhs = agm(2, 1, ctx)
-        rhs = 2 * agm(1, mp.mpf(1) / 2, ctx)
-        assert abs(lhs - rhs) < ctx.tol * abs(lhs)
-
-
-def test_agm_gauss_constant(ctx):
-    # agm(1, sqrt(2)/2) * sqrt(2) * L = pi for the lemniscatic integral L
-    lem = lemniscate_constant(bits=ctx.bits + 64)
-    with ctx.workprec():
-        val = agm(1, mp.sqrt(2) / 2, ctx)
-        residual = abs(val * mp.sqrt(2) * lem - mp.pi)
-    assert residual < ctx.tol
-
-
-def test_agm_symmetry_random(ctx):
-    rng = random.Random(11)
-    with ctx.workprec():
-        for _ in range(10):
-            a = mp.mpc(rng.randint(1, 9), rng.randint(-4, 4))
-            b = mp.mpc(rng.randint(1, 9), rng.randint(-4, 4))
-            x, y = agm(a, b, ctx), agm(b, a, ctx)
-            assert abs(x - y) < ctx.tol * abs(x)
-            lam = mp.mpc(3, 1)
-            assert abs(agm(lam * a, lam * b, ctx) - lam * x) < ctx.tol * abs(lam * x)
-
-
-def test_agm_rejects_zero(ctx):
-    with pytest.raises(DomainError):
-        agm(0, 1, ctx)
-
-
-def test_agm_nonconvergence_on_antiparallel(ctx):
-    with pytest.raises(NonConvergence):
-        agm(1, -1, ctx)
 
 
 def test_eisenstein_periodicity(ctx):
@@ -126,7 +82,7 @@ def test_eisenstein_max_terms_budget():
 
 
 # (Re num, Re den, Im num, Im den): Im(tau) from 0.87, just inside the
-# fundamental domain, to 40, where E4^3 - E6^2 cancels at 256 bits
+# fundamental domain, to 40, where each series stops after its q term at 256 bits
 SERIES_TAUS = [
     (1, 10, 87, 100), (-9, 20, 9, 10), (3, 10, 1, 1), (0, 1, 3, 2), (1, 4, 3, 1),
     (-2, 5, 15, 2), (1, 2, 12, 1), (1, 10, 20, 1), (0, 1, 40, 1),
@@ -159,10 +115,10 @@ def test_joint_kernel_equals_eisenstein(ctx):
 
 
 def test_j_float_matches_j_invariant():
-    # Delta as a q-product keeps the float j accurate at Im(tau) = 20 and 40,
-    # where E4^3 - E6^2 in floats cancels completely (the reference needs
-    # 1024 bits there); j - value is accurate relative to itself on both
-    # sides of the corner formulas, near rho and near i too
+    # the float j is accurate at Im(tau) = 20 and 40 as well as near rho and
+    # i, and j - value is accurate relative to itself on both sides of the
+    # corner formulas; the reference takes Delta as (E4^3 - E6^2) / 1728 at
+    # 1024 bits, which keeps about 660 of them at Im(tau) = 40
     ctx = PrecisionContext(bits=1024)
     with ctx.workprec():
         taus = [_series_tau(*t) for t in SERIES_TAUS]
@@ -290,8 +246,14 @@ def test_polyroots_nonconvergence_names_the_input(ctx):
         polyroots([3 * 10 ** 400, -(10 ** 400 + 3), 1], ctx, max_sweeps=2)
 
 
-def test_j_invariant_names_delta_cancellation():
-    # at tau = 45i, q is real and E4^3, E6^2 both round to 1 at 256 bits
+@pytest.mark.parametrize("im", [20, 36, 43, 45])
+def test_j_invariant_matches_kleinj_at_large_im(im):
+    # Delta = q * prod(1 - q**n)**24 does not cancel: j stays accurate where
+    # 1 + 240 q and 1 - 504 q round to 1 at 256 bits
     ctx = PrecisionContext(bits=256)
-    with pytest.raises(NonConvergence, match=r"E4\^3 - E6\^2 cancels to 0 at Im\(tau\)=45.0 with 256 bits"):
-        j_invariant((0, 45), ctx)
+    with ctx.workprec():
+        tau = mp.mpc(mp.mpf(1) / 10, im)
+    got = j_invariant(tau, ctx)
+    with mp.workprec(2048):
+        want = 1728 * mp.kleinj(tau)
+        assert abs(got - want) < ctx.tol * abs(want)

@@ -10,7 +10,7 @@ from zpscan.errors import NonConvergence
 from zpscan.isogeny import cyclic_sublattices, make_witness
 from zpscan.periods import Lattice, reduce_tau
 from zpscan.relations import build_polynomial, synth_second_way
-from zpscan.serialize import fmt_real, parse_complex
+from zpscan.serialize import fmt_complex, fmt_real, parse_complex
 
 from conftest import REPO_ROOT, validate_against
 
@@ -143,14 +143,30 @@ def test_phi_eval_schema(capsys):
     assert abs(float(doc["value"][0])) < 1e-30
 
 
-def test_phi_eval_names_delta_cancellation(capsys):
-    # a sublattice tau reaches Im 39, where E4^3 - E6^2 rounds to 0 at 256 bits
-    code = main(["phi", "eval", "--level", "30", "--x", "1728,0", "--tau", "0.1,1.3"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "E4^3 - E6^2 cancels to 0 at Im(tau)=39.0 with 256 bits" in captured.err
-    assert "Traceback" not in captured.err
+@pytest.mark.parametrize("level", [23, 29, 30])
+def test_phi_eval_at_high_levels_matches_kleinj(capsys, monkeypatch, level):
+    # sublattice taus reach Im 39 at level 30; the value printed is the one
+    # computed, and that one is within tol of the product scale
+    values, real = [], cli.phi_eval_numeric
+
+    def record(*args):
+        values.append(real(*args))
+        return values[-1]
+
+    monkeypatch.setattr(cli, "phi_eval_numeric", record)
+    code, doc = run_json(capsys, "phi", "eval", "--level", str(level), "--x", "1728,0", "--tau", "0.1,1.3")
+    assert code == 0
+    (got,) = values
+    assert doc["value"] == fmt_complex(got)
+    ctx = PrecisionContext()
+    with mp.workprec(2048):
+        tau, x = parse_complex("0.1,1.3", 2048), mp.mpf(1728)
+        want, scale = mp.mpf(1), mp.mpf(1)
+        for sub in cyclic_sublattices(level):
+            j_sub = 1728 * mp.kleinj(sub.d * tau / (sub.a + sub.b * tau))
+            want *= x - j_sub
+            scale *= max(1, abs(x), abs(j_sub))
+        assert abs(got - want) < ctx.tol * scale
 
 
 def test_relations_synthetic_and_schema(capsys):
@@ -351,6 +367,25 @@ def test_numeric_double_checks_find_nothing_on_the_readme_curve(tmp_path):
     assert doc["exact_levels"] == [2] and doc["numeric_levels"] == [6]
     assert doc["report"]["rows"]
     assert not any(r["numeric_only"] for r in doc["report"]["rows"])
+
+
+def test_cm_values_level_five_scan_exits_zero(capsys):
+    # a level-5 root of the (j2, j3) stratum lifts to Im(tau) about 43
+    curve = str(REPO_ROOT / "zpbench" / "curves" / "cm_values.txt")
+    code, _ = run_json(capsys, "scan", "--curve", curve, "--levels", "5", "--pairs", "2,3", "--jobs", "1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("pairs", ["1,9", "0,1", "1,1", "1,2;2,1", "1,2,3", "1;2", ""])
+def test_pairs_usage_errors_exit_one(tmp_path, capsys, pairs):
+    # indices outside 1..3, a coordinate paired with itself, the same
+    # unordered pair twice, and malformed pairs
+    argv = _readme_scan(tmp_path)
+    argv[argv.index("--pairs") + 1] = pairs
+    code = main(argv + ["--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--pairs" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

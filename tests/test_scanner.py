@@ -185,14 +185,12 @@ def _recording_float_newton(monkeypatch):
 
 def test_invert_j_from_float_start(monkeypatch):
     # the corner values (where j - value has a triple and a double root), a
-    # CM value, a negative one, a complex one, and a large one: the float
-    # phase gives the start and the lift passes the working-precision test;
-    # 10^60 runs at 512 bits because E4^3 - E6^2 keeps only 29 of 86 digits
-    # there at 256
+    # CM value, a negative one, a complex one, and a large one (its lift has
+    # Im(tau) about 22): the float phase gives the start and the lift passes
+    # the working-precision test
     results = _recording_float_newton(monkeypatch)
-    values = [(256, 0), (256, 1728), (256, 287496), (256, -12288000), (256, (3, -4)), (512, 10 ** 60)]
-    for bits, value in values:
-        ctx = PrecisionContext(bits=bits)
+    ctx = PrecisionContext(bits=256)
+    for value in [0, 1728, 287496, -12288000, (3, -4), 10 ** 60]:
         with ctx.workprec():
             value = mp.mpc(*value) if isinstance(value, tuple) else mp.mpc(value)
             tau = invert_j(value, ctx)
@@ -202,9 +200,9 @@ def test_invert_j_from_float_start(monkeypatch):
 
 def test_invert_j_float_overflow_takes_mpmath_path(monkeypatch):
     # 10^400 has no float image: the lift is the working-precision iteration's
-    # own, bit for bit (3072 bits keep E4^3 - E6^2 = 1728 q from cancelling)
+    # own, bit for bit, at Im(tau) about 147
     results = _recording_float_newton(monkeypatch)
-    ctx = PrecisionContext(bits=3072)
+    ctx = PrecisionContext(bits=256)
     with ctx.workprec():
         value = mp.mpc(10) ** 400
         tau = invert_j(value, ctx)
