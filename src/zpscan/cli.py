@@ -21,7 +21,7 @@ from .analytic import PrecisionContext
 from .errors import Inconclusive, ZpError
 from .isogeny import CyclicSublattice, cyclic_sublattices, make_witness, recognize_quadratic
 from .modular import MAX_EXACT_LEVEL, phi_eval_numeric, phi_recover_exact
-from .periods import Lattice, detect_cm, full_period_matrix, reduce_tau
+from .periods import FullPeriodMatrix, Lattice, detect_cm, full_period_matrix, reduce_tau
 from .polyrel import IdealI0, PairConfig, SecondWayConfig
 from .relations import (
     build_polynomial,
@@ -148,11 +148,12 @@ def cmd_periods(args) -> int:
 
 
 def _isogeny_task(packed):
-    bits, tau, triple = packed
+    bits, tau, triple, rows, legendre = packed
     ctx = PrecisionContext(bits=bits)
     lat = Lattice.from_tau(tau)
     sub = CyclicSublattice(*triple)
-    w, target, P1, P2 = make_witness(lat, sub, ctx)
+    P1 = FullPeriodMatrix(p=mp.matrix(rows), legendre_residual=legendre)
+    w, target, _, P2 = make_witness(lat, sub, ctx, P1)
     probe = {}
     with ctx.workprec():
         norm = max(abs(P2.p[i, j]) for i in range(2) for j in range(2))
@@ -184,7 +185,10 @@ def cmd_isogeny(args) -> int:
     else:
         subs = cyclic_sublattices(args.degree)
         triples = [(subs[0].a, subs[0].b, subs[0].d)]
-    tasks = [(ctx.bits, tau, t) for t in triples]
+    # one source period matrix for every sublattice; an mp.matrix does not
+    # pickle, so a task carries its entries
+    P1 = full_period_matrix(Lattice.from_tau(tau), ctx)
+    tasks = [(ctx.bits, tau, t, P1.p.tolist(), P1.legendre_residual) for t in triples]
     witnesses = _pmap(_isogeny_task, tasks, _jobs(args))
     with ctx.workprec():
         worst = max(mp.mpf(w["relative_residual"]) for w in witnesses)

@@ -198,12 +198,21 @@ def verify_isogeny_identity(
 
 
 def make_witness(
-    lat: Lattice, sub: CyclicSublattice, ctx: PrecisionContext = None
+    lat: Lattice,
+    sub: CyclicSublattice,
+    ctx: PrecisionContext = None,
+    P1: FullPeriodMatrix = None,
 ) -> tuple[IsogenyWitness, Lattice, FullPeriodMatrix, FullPeriodMatrix]:
-    """Full pipeline: sublattice -> target, homology, de Rham entries, residual."""
+    """Full pipeline: sublattice -> target, homology, de Rham entries, residual.
+
+    P1, when given, must be full_period_matrix(lat, ctx): callers that run every
+    sublattice of one lattice compute the source matrix once and pass it in.
+    When omitted it is computed here.
+    """
     ctx = ctx or PrecisionContext()
     target, homology = isogeny_pair(lat, sub, ctx)
-    P1 = full_period_matrix(lat, ctx)
+    if P1 is None:
+        P1 = full_period_matrix(lat, ctx)
     P2 = full_period_matrix(target, ctx)
     a, b, c = solve_de_rham(P1, P2, homology, ctx)
     witness = IsogenyWitness(

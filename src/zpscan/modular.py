@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import mpmath as mp
 
@@ -100,8 +101,8 @@ def phi_eval_numeric(N: int, x, tau, ctx: PrecisionContext = None) -> mp.mpc:
         return +acc
 
 
-def _q_times_j(length: int) -> IntPoly:
-    """q*j = E4**3 / prod(1 - q**n)**24 through q**(length - 1)."""
+def _q_times_j(length: int) -> list[int]:
+    """q*j = E4**3 / prod(1 - q**n)**24 through q**(length - 1), as `length` coefficients."""
     sig = _sigma(3, length)
     e4 = IntPoly([1] + [240 * sig[n] for n in range(1, length)])
     series = (e4 * e4 * e4).coeffs[:length]
@@ -109,17 +110,19 @@ def _q_times_j(length: int) -> IntPoly:
         for _ in range(24):  # dividing by 1 - q**n is a running sum with stride n
             for m in range(n, length):
                 series[m] += series[m - n]
-    return IntPoly(series)
+    return series
 
 
 def _build_phi(N: int) -> ModularPolynomial:
     """Phi_N by power sums of the sublattice j-values, pole cancellation and Newton's identities."""
     n = psi(N)
     length = n * N + 2
-    qj = _q_times_j(length)
+    qj_rev = _q_times_j(length)[::-1]
     powers = [[1] + [0] * (length - 1)]  # powers[m][t] is the coefficient of q**(t - m) in j**m
     for _ in range(n * N):
-        powers.append((IntPoly(powers[-1]) * qj).coeffs[:length])
+        # the product with q*j truncated to `length` terms: term t is sum of p[i] * qj[t - i]
+        p = powers[-1]
+        powers.append([sum(map(mul, p[: t + 1], qj_rev[length - 1 - t :])) for t in range(length)])
     blocks = []
     for A in (a for a in range(1, N + 1) if N % a == 0):
         D, g = N // A, gcd(A, N // A)

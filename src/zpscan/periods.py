@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import ceil, floor, gcd, isfinite
 
 import mpmath as mp
 
@@ -230,6 +230,15 @@ def _quadratic_rows(z, z2, bound: int, thresh, a_min: int):
     of -Re w is the exact C, so |C| and primitivity are screened too.  The pairs
     left are confirmed with the unchanged mpmath expressions; if z, z^2 or the
     margin is not finite, or the margin reaches 1/4, every pair is.
+
+    The screen keeps B only when |ai + B*zi| <= ea + |B|*ez, with ai = A*Im z^2,
+    zi = Im z, ez = 1e-14*|z| and ea the row's margin at B = 0.  With |B| <= bound
+    that puts B within span = (ea + bound*ez)/(|zi| - ez) of -ai/zi, so when
+    |zi| > ez a row screens only that interval, padded by 2 (far above the float
+    error of its ends) and clamped to the row: O(bound) float work in all instead
+    of O(bound^2).  The full row is screened when span or -ai/zi is not finite or
+    the interval is not shorter than the row.  The per-B test is the same either
+    way, so the kept B's are those of the full row.
     """
     zf, z2f = complex(z), complex(z2)
     zr, zi = zf.real, zf.imag
@@ -242,6 +251,12 @@ def _quadratic_rows(z, z2, bound: int, thresh, a_min: int):
         if screen:
             ar, ai = A * z2f.real, A * z2f.imag
             ea = limit + A * ez2
+            if abs(zi) > ez:
+                span = (ea + bound * ez) / (abs(zi) - ez)
+                mid = -ai / zi
+                if isfinite(span) and isfinite(mid) and 2 * span < len(bs) - 1:
+                    lo, hi = floor(mid - span) - 2, ceil(mid + span) + 2
+                    bs = range(max(bs.start, lo), min(bound, hi) + 1)
             kept = []
             for B in bs:
                 margin = ea + abs(B) * ez

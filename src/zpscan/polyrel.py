@@ -75,6 +75,12 @@ def _cadd(x, y):
 def _cmul(x, y):
     if _same_kind(x, y):
         return x * y
+    # mpc * int (mpc_mul_int) rounds the exact product once, as the coercion does
+    # for an int that fits the working precision
+    if type(x) is mp.mpc and type(y) is int:
+        return x * y
+    if type(x) is int and type(y) is mp.mpc:
+        return y * x
     return _to_mpc(x) * _to_mpc(y)
 
 
@@ -132,7 +138,10 @@ class MultiPoly:
 
     def __neg__(self) -> "MultiPoly":
         out = MultiPoly()
-        out.terms = {m: _cmul(c, -1) for m, c in self.terms.items()}
+        out.terms = {
+            m: -c if type(c) is mp.mpc or _is_exact(c) else _cmul(c, -1)
+            for m, c in self.terms.items()
+        }
         return out
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":

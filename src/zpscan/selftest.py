@@ -70,9 +70,9 @@ def _check_isogeny(ctx, degrees=(2, 6), n_lattices=2, seed=2):
     for M in degrees:
         for _ in range(n_lattices):
             lat = random_lattice(rng, ctx.bits)
-            P1norm = None
+            P1 = full_period_matrix(lat, ctx)
             for sub in cyclic_sublattices(M):
-                w, _, P1, P2 = make_witness(lat, sub, ctx)
+                w, _, _, P2 = make_witness(lat, sub, ctx, P1)
                 p, q, r, s = w.homology
                 if p * s - q * r != M:
                     return CheckResult("isogeny-identity", False, "integer determinant broke")

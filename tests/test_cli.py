@@ -122,6 +122,36 @@ def test_isogeny_jobs_determinism(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+ISOGENY_AT_I = ["isogeny", "verify", "--tau", "0,1", "--degree", "12", "--all-sublattices"]
+
+
+def test_isogeny_shared_source_matrix_matches_per_sublattice_witnesses(capsys):
+    # the command builds the source period matrix once; each witness must be the
+    # one make_witness gives when it builds its own
+    code, doc = run_json(capsys, *ISOGENY_AT_I, "--jobs", "1")
+    assert code == 0
+    subs = cyclic_sublattices(12)
+    assert [w["sublattice"] for w in doc["witnesses"]] == [[s.a, s.b, s.d] for s in subs]
+    ctx = PrecisionContext(bits=256)
+    lat = Lattice.from_tau(parse_complex("0,1"))
+    for got, sub in zip(doc["witnesses"], subs):
+        w, target, _, P2 = make_witness(lat, sub, ctx)
+        with ctx.workprec():
+            norm = max(abs(P2.p[i, j]) for i in range(2) for j in range(2))
+            assert got["relative_residual"] == fmt_real(w.residual / norm)
+            assert got["target_tau"] == fmt_complex(target.tau)
+        assert got["homology"] == list(w.homology)
+        assert got["de_rham"] == [fmt_complex(v) for v in w.de_rham]
+        assert got["residual"] == fmt_real(w.residual)
+
+
+def test_isogeny_jobs_determinism_at_cm_point(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main([*ISOGENY_AT_I, "--jobs", "1", "--out", str(a)]) == 0
+    assert main([*ISOGENY_AT_I, "--jobs", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_phi_exact_schema(capsys):
     code, doc = run_json(capsys, "phi", "exact", "--level", "2")
     assert code == 0

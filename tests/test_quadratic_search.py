@@ -29,7 +29,10 @@ def _outcome(fn, *args):
 
 
 def _special_values(bits):
-    """Rationals, quadratic irrationals, CM points, generic and extreme magnitudes."""
+    """Rationals, quadratic irrationals, CM points, generic and extreme magnitudes.
+
+    Also the edges of the screen's per-row B-interval (``_quadratic_rows``).
+    """
     rng = random.Random(bits)
     with mp.workprec(bits + 32):
         sqrt3, sqrt5, sqrt7 = mp.sqrt(3), mp.sqrt(5), mp.sqrt(7)
@@ -64,6 +67,22 @@ def _special_values(bits):
             mp.mpc(0, "1e200"),
             mp.mpc("1e400", "1e400"),
             mp.mpc(0, "1e400"),
+            # Im z just above and just below the screen's slope 1e-14*|z|, where
+            # the row's B-interval turns infinite
+            mp.mpc(mp.mpf(3) / 7, mp.mpf(3) / 7 * mp.mpf("1e-14") * (1 + mp.mpf("1e-9"))),
+            mp.mpc(mp.mpf(3) / 7, mp.mpf(3) / 7 * mp.mpf("1e-14") * (1 - mp.mpf("1e-9"))),
+            # Im z where the interval crosses the row's length at some precision
+            mp.mpc(mp.mpf(5) / 3, "3e-14"),
+            mp.mpc(mp.mpf(5) / 3, "1e-10"),
+            # |Re z| far above every bound with a tiny Im z: at some precisions
+            # the interval misses most rows A >= 1; for the last the screen is off
+            mp.mpc(2000, "1e-6"),
+            mp.mpc(mp.mpf(10) ** 5 + mp.mpf(1) / 3, "1e-4"),
+            mp.mpc("-1e30", "1e-20"),
+            # negative Im z: detect_cm rejects it, the probe searches it
+            mp.mpc(mp.mpf(1) / 3, -sqrt5),
+            mp.mpc(-mp.mpf(1) / 2, -sqrt3 / 2),
+            mp.mpc(mp.mpf(2) / 5, "-1e-13"),
         ]
         vals += [random_tau(rng, bits + 32) for _ in range(3)]
     return vals
@@ -114,3 +133,16 @@ def test_recognize_quadratic_matches_full_scan_on_de_rham_entries(shift, bits):
             with ctx.workprec():
                 got = recognize_quadratic(val, bound, ctx)
                 assert got == recognize_quadratic_scan(val, bound, ctx), (M, sub, val, bound)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_relation_near_the_end_of_its_interval(bound):
+    # at 64 bits sqrt(tol) = 2^-16 lies far above the 1e-14*|z| slope, so the
+    # rows are cut to B-intervals; at z = sqrt(10) + 1.5i*sqrt(tol) the accepted
+    # (1, 0, -10) is 2*sqrt(10) from its row's centre, near the interval's end
+    ctx = PrecisionContext(bits=64)
+    with ctx.workprec():
+        z = mp.mpc(mp.sqrt(10), 3 * ctx.sqrt_tol / 2)
+        got = recognize_quadratic(z, bound, ctx)
+        assert got == recognize_quadratic_scan(z, bound, ctx) == (1, 0, -10)
+    assert _outcome(detect_cm, z, bound, ctx) == _outcome(detect_cm_scan, z, bound, ctx)
